@@ -2,7 +2,8 @@
 
 Configuration is a flat ``key = value`` text file ('#' starts a comment);
 every key can also be given as a ``--key value`` flag, which wins over the
-file.  Exit codes: 0 success, 1 run or monitor failure, 2 bad configuration.
+file.  Exit codes: 0 success, 1 run or monitor failure, 2 configuration
+rejected before the run started.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec, PressureField, VelocityField, make_grid
+from .grid import InvalidGridError, PressureField, VelocityField, make_grid
 from .linsolve import SolveConfig
 from .operators import spectral_lower_bound
 from .schemes import RunResult, SchemeConfig, blend_pressures, run
 from .verify import (
     ManufacturedCase,
+    StabilityReport,
     check_stability,
     error_norms,
     exact_velocity,
@@ -120,8 +122,13 @@ def _case_of(conf: dict) -> ManufacturedCase:
     return ManufacturedCase(amplitude=conf["amplitude"], decay=conf["decay"], nu=conf["nu"])
 
 
-def build_scheme_config(conf: dict, grid: GridSpec | None = None, tau: float | None = None) -> SchemeConfig:
-    grid = grid or make_grid(conf["l1"], conf["l2"], conf["n1"], conf["n2"])
+def build_scheme_config(conf: dict) -> SchemeConfig:
+    """The configured run; builds its operators now, so invalid settings raise
+    ConfigError before the run starts rather than inside it."""
+    try:
+        grid = make_grid(conf["l1"], conf["l2"], conf["n1"], conf["n2"])
+    except InvalidGridError as exc:
+        raise ConfigError(str(exc)) from exc
     case = _case_of(conf)
     if conf["initial"] == "zero":
         v = VelocityField.zeros(grid)
@@ -130,17 +137,24 @@ def build_scheme_config(conf: dict, grid: GridSpec | None = None, tau: float | N
     else:
         v = random_velocity(grid, make_rng(conf["seed"]))
     forcing = forcing_of(case, grid) if conf["forcing"] == "manufactured" else None
-    return SchemeConfig(
-        v=v,
-        tau=tau if tau is not None else conf["tau"],
-        t_final=conf["t_final"],
-        nu=conf["nu"],
-        scheme=conf["scheme"],
-        m=conf["m"],
-        overlap=conf["overlap"],
-        solver=_solver_of(conf),
-        forcing=forcing,
-    )
+    try:
+        cfg = SchemeConfig(
+            v=v,
+            tau=conf["tau"],
+            t_final=conf["t_final"],
+            nu=conf["nu"],
+            scheme=conf["scheme"],
+            m=conf["m"],
+            overlap=conf["overlap"],
+            solver=_solver_of(conf),
+            forcing=forcing,
+        )
+        cfg.viscous
+        if cfg.scheme == "decomposed":
+            cfg.partition
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 # -- output writers; floats go through repr for stable shortest round-trips
@@ -174,14 +188,14 @@ def write_steps_csv(path: Path, reports) -> None:
 
 
 def write_velocity_csv(path: Path, u: VelocityField) -> None:
-    grid = u.grid
+    grid, u1, u2 = u.grid, u.u1, u.u2
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["i1", "i2", "x1", "x2", "u1", "u2"])
         for i1 in range(grid.n1 + 1):
             for i2 in range(grid.n2 + 1):
                 writer.writerow(
-                    [i1, i2, _fmt(i1 * grid.h1), _fmt(i2 * grid.h2), _fmt(u.u1[i1, i2]), _fmt(u.u2[i1, i2])]
+                    [i1, i2, _fmt(i1 * grid.h1), _fmt(i2 * grid.h2), _fmt(u1[i1, i2]), _fmt(u2[i1, i2])]
                 )
 
 
@@ -207,12 +221,14 @@ def _write_manifest(out_dir: Path, command: str, conf: dict, extra: dict, starte
         handle.write("\n")
 
 
-def _monitors_of(result: RunResult) -> dict:
+def _stability_of(result: RunResult) -> StabilityReport:
+    """The run's energy estimate; scheme names are the monitor's modes."""
     cfg = result.config
-    if cfg.scheme == "monolithic":
-        stab = check_stability(result.reports, cfg.tau, "monolithic", nu_delta_h=cfg.nu * spectral_lower_bound(cfg.grid))
-    else:
-        stab = check_stability(result.reports, cfg.tau, "decomposed")
+    return check_stability(result.reports, cfg.tau, cfg.scheme, nu_delta_h=cfg.nu * spectral_lower_bound(cfg.grid))
+
+
+def _monitors_of(result: RunResult) -> dict:
+    stab = _stability_of(result)
     return {
         "completed": result.completed,
         "stability_passed": stab.passed,
@@ -281,40 +297,42 @@ def cmd_converge(conf: dict) -> int:
     if not taus or not grids:
         raise ConfigError("converge needs non-empty taus and grids lists")
     case = _case_of(conf)
+    tau_min = min(taus)
+
+    def config(scheme: str, tau: float, n1: int, n2: int) -> SchemeConfig:
+        return build_scheme_config(
+            dict(conf, scheme=scheme, tau=tau, n1=n1, n2=n2, initial="manufactured", forcing="manufactured")
+        )
+
+    # every configuration is built, and so validated, before the first run
+    temporal = {s: [config(s, tau, conf["n1"], conf["n2"]) for tau in taus] for s in ("monolithic", "decomposed")}
+    spatial = [config(conf["scheme"], tau_min, n, n) for n in grids]
     rows: list[list] = []
     ok = True
 
-    def final_velocity(grid: GridSpec, tau: float, scheme: str) -> VelocityField:
+    def final_velocity(cfg: SchemeConfig) -> VelocityField:
         nonlocal ok
-        sub = dict(conf, scheme=scheme, initial="manufactured", forcing="manufactured")
-        cfg = build_scheme_config(sub, grid=grid, tau=tau)
         result = run(cfg)
         ok = ok and result.completed
         return result.velocity
 
-    grid = make_grid(conf["l1"], conf["l2"], conf["n1"], conf["n2"])
-    exact_final = exact_velocity(case, grid, conf["t_final"])
-    for scheme in ("monolithic", "decomposed"):
-        finals = [final_velocity(grid, tau, scheme) for tau in taus]
+    exact_final = exact_velocity(case, temporal["monolithic"][0].grid, conf["t_final"])
+    for scheme, cfgs in temporal.items():
+        finals = [final_velocity(cfg) for cfg in cfgs]
         errors = [error_norms(u, exact_final) for u in finals]
         for k, (tau, err) in enumerate(zip(taus, errors)):
             ratio = errors[k - 1] / err if k else float("nan")
             order = np.log2(ratio) if k else float("nan")
             rows.append(["tau", scheme, conf["n1"], tau, err, ratio, order])
         if scheme == "decomposed":
-            monos = [final_velocity(grid, tau, "monolithic") for tau in taus]
+            monos = [final_velocity(cfg) for cfg in temporal["monolithic"]]
             gaps = [error_norms(a, b) for a, b in zip(finals, monos)]
             for k, (tau, gap) in enumerate(zip(taus, gaps)):
                 ratio = gaps[k - 1] / gap if k else float("nan")
                 order = np.log2(ratio) if k else float("nan")
                 rows.append(["gap", scheme, conf["n1"], tau, gap, ratio, order])
 
-    tau_min = min(taus)
-    errors = []
-    for n in grids:
-        g = make_grid(conf["l1"], conf["l2"], n, n)
-        u = final_velocity(g, tau_min, conf["scheme"])
-        errors.append(error_norms(u, exact_velocity(case, g, conf["t_final"])))
+    errors = [error_norms(final_velocity(cfg), exact_velocity(case, cfg.grid, conf["t_final"])) for cfg in spatial]
     for k, (n, err) in enumerate(zip(grids, errors)):
         ratio = errors[k - 1] / err if k else float("nan")
         order = np.log2(ratio) if k else float("nan")
@@ -337,30 +355,17 @@ def cmd_stability(conf: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     taus = _float_list(conf["taus"], "taus")
-    grid = make_grid(conf["l1"], conf["l2"], conf["n1"], conf["n2"])
-    rng = make_rng(conf["seed"])
-    v = random_velocity(grid, rng)
+    cfgs = [
+        build_scheme_config(dict(conf, initial="random", forcing="none", tau=tau, t_final=tau * conf["steps"]))
+        for tau in taus
+    ]
     all_ok = True
     with open(out_dir / "stability.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["tau", "m", "step", "norm_state", "norm_end", "margin"])
-        for tau in taus:
-            cfg = SchemeConfig(
-                v=v,
-                tau=tau,
-                t_final=tau * conf["steps"],
-                nu=conf["nu"],
-                scheme=conf["scheme"],
-                m=conf["m"],
-                overlap=conf["overlap"],
-                solver=_solver_of(conf),
-                forcing=None,
-            )
+        for tau, cfg in zip(taus, cfgs):
             result = run(cfg)
-            if cfg.scheme == "monolithic":
-                stab = check_stability(result.reports, cfg.tau, "monolithic", nu_delta_h=cfg.nu * spectral_lower_bound(grid))
-            else:
-                stab = check_stability(result.reports, cfg.tau, "decomposed")
+            stab = _stability_of(result)
             all_ok = all_ok and result.completed and stab.passed
             for rep, margin in zip(result.reports, stab.margins):
                 writer.writerow([_fmt(tau), cfg.m, rep.step, _fmt(rep.norm_state), _fmt(rep.norm_end), _fmt(margin)])
@@ -396,9 +401,6 @@ def main(argv: list[str] | None = None) -> int:
         handler = {"run": cmd_run, "converge": cmd_converge, "stability": cmd_stability, "verify": cmd_verify}[args.command]
         return handler(conf)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,12 @@ Velocity components vanish on the boundary; pressure is defined on the
 pressure set only.  Fields store the full node rectangle so stencil code can
 use plain array slices; entries outside a field's node set are kept at zero.
 
+A velocity is one array of shape (2, n1+1, n2+1), component first; the
+stencil kernels and the solvers work on that array directly, and ``u1`` and
+``u2`` are views into it.  The dense assembly path in ``operators`` does not
+use this layout: it flattens fields into its own canonical vectors, so it
+stays an independent check on the stencil path.
+
 Inner products integrate with the cell weight h1*h2 over the owning node set.
 """
 
@@ -90,33 +96,53 @@ def _as_field_array(grid: GridSpec, data: np.ndarray | None) -> np.ndarray:
     return arr
 
 
-@dataclass
 class VelocityField:
-    """Two velocity components on the full node rectangle, zero on the boundary.
+    """Both velocity components in one (2, n1+1, n2+1) array, zero on the boundary.
 
-    Construction from arbitrary data copies it and zeroes the boundary entries,
-    so every VelocityField satisfies the no-slip constraint by construction.
+    ``data[0]`` and ``data[1]`` are the components; ``u1`` and ``u2`` are views
+    of them, so a write through either name is a write to ``data``.
+    Construction from two component arrays copies them and leaves the
+    boundary at zero, so every VelocityField satisfies the no-slip constraint
+    by construction; ``wrap`` takes ownership of a stacked array instead.
     """
 
-    grid: GridSpec
-    u1: np.ndarray
-    u2: np.ndarray
+    def __init__(self, grid: GridSpec, u1: np.ndarray | None, u2: np.ndarray | None) -> None:
+        self.grid = grid
+        self.data = np.zeros((2,) + grid.shape)
+        for comp, values in zip(self.data, (u1, u2)):
+            comp[1:-1, 1:-1] = _as_field_array(grid, values)[1:-1, 1:-1]
 
-    def __post_init__(self) -> None:
-        self.u1 = _as_field_array(self.grid, self.u1)
-        self.u2 = _as_field_array(self.grid, self.u2)
-        for comp in (self.u1, self.u2):
-            comp[0, :] = 0.0
-            comp[-1, :] = 0.0
-            comp[:, 0] = 0.0
-            comp[:, -1] = 0.0
+    @classmethod
+    def wrap(cls, grid: GridSpec, data: np.ndarray) -> "VelocityField":
+        """Use a stacked (2, n1+1, n2+1) float array as the field, without copying.
+
+        The boundary entries of ``data`` are set to zero in place.
+        """
+        if data.shape != (2,) + grid.shape:
+            raise GridMismatchError(f"array shape {data.shape} does not match grid {(2,) + grid.shape}")
+        data[:, 0, :] = 0.0
+        data[:, -1, :] = 0.0
+        data[:, :, 0] = 0.0
+        data[:, :, -1] = 0.0
+        field = cls.__new__(cls)
+        field.grid = grid
+        field.data = data
+        return field
+
+    @property
+    def u1(self) -> np.ndarray:
+        return self.data[0]
+
+    @property
+    def u2(self) -> np.ndarray:
+        return self.data[1]
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "VelocityField":
-        return cls(grid, np.zeros(grid.shape), np.zeros(grid.shape))
+        return cls.wrap(grid, np.zeros((2,) + grid.shape))
 
     def copy(self) -> "VelocityField":
-        return VelocityField(self.grid, self.u1, self.u2)
+        return VelocityField.wrap(self.grid, self.data.copy())
 
 
 @dataclass

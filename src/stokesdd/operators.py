@@ -72,8 +72,8 @@ class MaskOperator:
             raise GridMismatchError(f"mask shape {self.eta.shape} does not match grid {self.grid.shape}")
 
 
-# -- raw kernels on stacked (2, n1+1, n2+1) arrays; shared by the field-level
-#    operations and the solver hot loops
+# -- raw kernels on stacked (2, n1+1, n2+1) velocity arrays (VelocityField.data);
+#    shared by the field-level operations and the solver hot loops
 
 def _viscous_raw(x: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:
     out = np.zeros_like(x)
@@ -86,32 +86,34 @@ def _viscous_raw(x: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:
     return out
 
 
+# The pressure kernels run once per pressure CG iteration and keep their
+# temporaries few: on a large grid each one is a block the allocator may hand
+# back to the system and fault in again on the next iteration.
+
 def _gradient_raw(p: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = np.zeros((2,) + grid.shape)
-    out[0, 1:-1, 1:-1] = (p[2:, 1:-1] - p[1:-1, 1:-1]) / grid.h1
-    out[1, 1:-1, 1:-1] = (p[1:-1, 2:] - p[1:-1, 1:-1]) / grid.h2
+    np.subtract(p[2:, 1:-1], p[1:-1, 1:-1], out=out[0, 1:-1, 1:-1])
+    np.subtract(p[1:-1, 2:], p[1:-1, 1:-1], out=out[1, 1:-1, 1:-1])
+    out[0] /= grid.h1
+    out[1] /= grid.h2
     return out
 
 
 def _divergence_raw(x: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = np.zeros(grid.shape)
-    out[1:, 1:] = (x[0, 1:, 1:] - x[0, :-1, 1:]) / grid.h1 + (x[1, 1:, 1:] - x[1, 1:, :-1]) / grid.h2
+    np.subtract(x[0, 1:, 1:], x[0, :-1, 1:], out=out[1:, 1:])
+    out /= grid.h1
+    across = x[1, 1:, 1:] - x[1, 1:, :-1]
+    across /= grid.h2
+    out[1:, 1:] += across
     return out
-
-
-def _stack(u: VelocityField) -> np.ndarray:
-    return np.stack([u.u1, u.u2])
-
-
-def _unstack(grid: GridSpec, x: np.ndarray) -> VelocityField:
-    return VelocityField(grid, x[0], x[1])
 
 
 def apply_viscous(op: ViscousOperator, u: VelocityField) -> VelocityField:
     """Apply the viscous operator componentwise; result is zero on the boundary."""
     if op.grid != u.grid:
         raise GridMismatchError("operator and field grids differ")
-    return _unstack(u.grid, _viscous_raw(_stack(u), u.grid, op.nu))
+    return VelocityField.wrap(u.grid, _viscous_raw(u.data, u.grid, op.nu))
 
 
 def spectral_lower_bound(grid: GridSpec) -> float:
@@ -127,7 +129,7 @@ def spectral_lower_bound(grid: GridSpec) -> float:
 
 def apply_gradient(p: PressureField) -> VelocityField:
     """Forward-difference pressure gradient, defined on interior nodes."""
-    return _unstack(p.grid, _gradient_raw(p.p, p.grid))
+    return VelocityField.wrap(p.grid, _gradient_raw(p.p, p.grid))
 
 
 def apply_divergence(u: VelocityField) -> PressureField:
@@ -136,13 +138,13 @@ def apply_divergence(u: VelocityField) -> PressureField:
     Satisfies (grad p, u) + (p, div u) = 0 for every p and every u that
     vanishes on the boundary.
     """
-    return PressureField(u.grid, _divergence_raw(_stack(u), u.grid))
+    return PressureField(u.grid, _divergence_raw(u.data, u.grid))
 
 
 def apply_mask(chi: MaskOperator, u: VelocityField) -> VelocityField:
     if chi.grid != u.grid:
         raise GridMismatchError("mask and field grids differ")
-    return VelocityField(u.grid, chi.eta * u.u1, chi.eta * u.u2)
+    return VelocityField.wrap(u.grid, chi.eta * u.data)
 
 
 def apply_block(chi_a: MaskOperator, op: ViscousOperator, chi_b: MaskOperator, u: VelocityField) -> VelocityField:
@@ -157,57 +159,56 @@ def apply_coupling(masks: Sequence[MaskOperator], op: ViscousOperator, U: Decomp
     grid = U.grid
     w = np.zeros((2,) + grid.shape)
     for chi, comp in zip(masks, U.components):
-        w += chi.eta * _stack(comp)
+        w += chi.eta * comp.data
     aw = _viscous_raw(w, grid, op.nu)
-    return DecomposedVelocity([_unstack(grid, chi.eta * aw) for chi in masks])
+    return DecomposedVelocity([VelocityField.wrap(grid, chi.eta * aw) for chi in masks])
+
+
+def _coupling_triangle(
+    masks: Sequence[MaskOperator], op: ViscousOperator, U: DecomposedVelocity, order: Sequence[int]
+) -> DecomposedVelocity:
+    """One triangle of the block operator, its rows built in the given strip order.
+
+    Row a is chi_a A applied to the masked components of the strips before a
+    in ``order`` plus half of its own: ascending order gives the lower
+    triangle, descending the upper.
+    """
+    if len(masks) != U.m:
+        raise GridMismatchError(f"{len(masks)} masks for {U.m} components")
+    grid = U.grid
+    rows = [None] * U.m
+    before = np.zeros((2,) + grid.shape)
+    for a in order:
+        eta = masks[a].eta
+        own = eta * U.components[a].data
+        rows[a] = VelocityField.wrap(grid, eta * _viscous_raw(before + 0.5 * own, grid, op.nu))
+        before += own
+    return DecomposedVelocity(rows)
 
 
 def apply_coupling_lower(masks: Sequence[MaskOperator], op: ViscousOperator, U: DecomposedVelocity) -> DecomposedVelocity:
     """Lower triangle of the block operator: strict sub-blocks plus half the diagonal."""
-    if len(masks) != U.m:
-        raise GridMismatchError(f"{len(masks)} masks for {U.m} components")
-    grid = U.grid
-    rows = []
-    prefix = np.zeros((2,) + grid.shape)
-    for chi, comp in zip(masks, U.components):
-        own = chi.eta * _stack(comp)
-        aw = _viscous_raw(prefix + 0.5 * own, grid, op.nu)
-        rows.append(_unstack(grid, chi.eta * aw))
-        prefix += own
-    return DecomposedVelocity(rows)
+    return _coupling_triangle(masks, op, U, range(len(masks)))
 
 
 def apply_coupling_upper(masks: Sequence[MaskOperator], op: ViscousOperator, U: DecomposedVelocity) -> DecomposedVelocity:
     """Upper triangle of the block operator; the adjoint of the lower triangle."""
-    if len(masks) != U.m:
-        raise GridMismatchError(f"{len(masks)} masks for {U.m} components")
-    grid = U.grid
-    rows = []
-    suffix = np.zeros((2,) + grid.shape)
-    for chi, comp in zip(reversed(masks), reversed(U.components)):
-        own = chi.eta * _stack(comp)
-        aw = _viscous_raw(suffix + 0.5 * own, grid, op.nu)
-        rows.append(_unstack(grid, chi.eta * aw))
-        suffix += own
-    rows.reverse()
-    return DecomposedVelocity(rows)
+    return _coupling_triangle(masks, op, U, range(len(masks) - 1, -1, -1))
 
 
 # -- canonical flattening, used by the dense path and nothing else
 
 def velocity_to_vector(u: VelocityField) -> np.ndarray:
     """Interior values, row-major over (i1, i2), u1 block then u2 block."""
-    return np.concatenate([u.u1[1:-1, 1:-1].ravel(), u.u2[1:-1, 1:-1].ravel()])
+    return u.data[:, 1:-1, 1:-1].flatten()
 
 
 def vector_to_velocity(grid: GridSpec, vec: np.ndarray) -> VelocityField:
     m = grid.num_interior
     if vec.shape != (2 * m,):
         raise GridMismatchError(f"expected vector of length {2 * m}, got {vec.shape}")
-    shape = (grid.n1 - 1, grid.n2 - 1)
     u = VelocityField.zeros(grid)
-    u.u1[1:-1, 1:-1] = vec[:m].reshape(shape)
-    u.u2[1:-1, 1:-1] = vec[m:].reshape(shape)
+    u.data[:, 1:-1, 1:-1] = vec.reshape((2, grid.n1 - 1, grid.n2 - 1))
     return u
 
 

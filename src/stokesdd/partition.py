@@ -107,9 +107,7 @@ def recompose(part: Partition, U: DecomposedVelocity) -> VelocityField:
         raise GridMismatchError("partition and field grids differ")
     if part.m != U.m:
         raise GridMismatchError(f"{part.m} strips but {U.m} components")
-    out1 = np.zeros(part.grid.shape)
-    out2 = np.zeros(part.grid.shape)
+    out = np.zeros((2,) + part.grid.shape)
     for chi, comp in zip(part.masks, U.components):
-        out1 += chi.eta * comp.u1
-        out2 += chi.eta * comp.u2
-    return VelocityField(part.grid, out1, out2)
+        out += chi.eta * comp.data
+    return VelocityField.wrap(part.grid, out)

@@ -16,7 +16,7 @@ estimates, so stability monitors can replay a whole run from the reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -32,14 +32,11 @@ from .grid import (
     norm_pressure,
     norm_velocity,
 )
-from .linsolve import SolveConfig, SolveReport, cg_solve
+from .linsolve import NumericalBreakdownError, SolveConfig, SolveReport, cg_solve
 from .operators import (
-    MaskOperator,
     ViscousOperator,
     _divergence_raw,
     _gradient_raw,
-    _stack,
-    _unstack,
     _viscous_raw,
     spectral_lower_bound,
 )
@@ -160,12 +157,12 @@ def viscous_step_monolithic(
     def system(x: np.ndarray) -> np.ndarray:
         return x + tau * _viscous_raw(x, grid, nu)
 
-    rhs = _stack(u)
+    rhs = u.data
     if f_half is not None:
-        rhs = rhs + tau * _stack(f_half)
+        rhs = rhs + tau * f_half.data
     x, rep = cg_solve(system, rhs, solver)
     _tally(status, rep, "viscous solve")
-    return _unstack(grid, x)
+    return VelocityField.wrap(grid, x)
 
 
 def pressure_projection(
@@ -181,22 +178,16 @@ def pressure_projection(
     returned pressure has zero mean.
     """
     grid = u_star.grid
-    solver = solver or SolveConfig()
-    solver = SolveConfig(
-        rel_tol=solver.rel_tol,
-        abs_tol=solver.abs_tol,
-        max_iter=solver.max_iter,
-        deflate_constants=True,
-    )
+    solver = replace(solver or SolveConfig(), deflate_constants=True)
 
     def system(q: np.ndarray) -> np.ndarray:
         return -_divergence_raw(_gradient_raw(q, grid), grid)
 
-    rhs = -(1.0 / tau) * _divergence_raw(_stack(u_star), grid)
+    rhs = -(1.0 / tau) * _divergence_raw(u_star.data, grid)
     parr, rep = cg_solve(system, rhs, solver, project=_deflate_block)
     _tally(status, rep, "pressure solve")
-    xnew = _stack(u_star) - tau * _gradient_raw(parr, grid)
-    return _unstack(grid, xnew), deflate_pressure(PressureField(grid, parr))
+    xnew = u_star.data - tau * _gradient_raw(parr, grid)
+    return VelocityField.wrap(grid, xnew), deflate_pressure(PressureField(grid, parr))
 
 
 def _strip_system(grid: GridSpec, nu: float, tau: float, eta: np.ndarray):
@@ -206,6 +197,33 @@ def _strip_system(grid: GridSpec, nu: float, tau: float, eta: np.ndarray):
         return x + half * eta * _viscous_raw(eta * x, grid, nu)
 
     return system
+
+
+def _sweep(
+    U: DecomposedVelocity, F_half: DecomposedVelocity | None, tau: float, op: ViscousOperator,
+    part: Partition, solver: SolveConfig | None, status: dict | None, order: range, what: str,
+) -> DecomposedVelocity:
+    """Block triangular solve, one strip system per strip in ``order``.
+
+    Ascending order solves (E + tau L) x = U + tau F, descending order
+    (E + tau U) x = U, with L and U the triangles of the block operator.
+    """
+    grid = U.grid
+    nu = op.nu
+    out = [None] * part.m
+    solved = np.zeros((2,) + grid.shape)
+    for k, a in enumerate(order):
+        eta = part.masks[a].eta
+        rhs = U.components[a].data
+        if F_half is not None:
+            rhs = rhs + tau * F_half.components[a].data
+        if k > 0:
+            rhs = rhs - tau * eta * _viscous_raw(solved, grid, nu)
+        x, rep = cg_solve(_strip_system(grid, nu, tau, eta), rhs, solver)
+        _tally(status, rep, f"{what}, strip {a}")
+        out[a] = VelocityField.wrap(grid, x)
+        solved += eta * x
+    return DecomposedVelocity(out)
 
 
 def dd_forward_sweep(
@@ -222,21 +240,7 @@ def dd_forward_sweep(
     Strip a sees the already updated strips b < a through the coupling
     blocks; its own implicit system is E + (tau/2) chi_a A chi_a.
     """
-    grid = U.grid
-    nu = op.nu
-    out: list[VelocityField] = []
-    prefix = np.zeros((2,) + grid.shape)
-    for a, (chi, comp) in enumerate(zip(part.masks, U.components)):
-        rhs = _stack(comp)
-        if F_half is not None:
-            rhs = rhs + tau * _stack(F_half.components[a])
-        if a > 0:
-            rhs = rhs - tau * chi.eta * _viscous_raw(prefix, grid, nu)
-        x, rep = cg_solve(_strip_system(grid, nu, tau, chi.eta), rhs, solver)
-        _tally(status, rep, f"forward sweep, strip {a}")
-        out.append(_unstack(grid, x))
-        prefix += chi.eta * x
-    return DecomposedVelocity(out)
+    return _sweep(U, F_half, tau, op, part, solver, status, range(part.m), "forward sweep")
 
 
 def dd_backward_sweep(
@@ -248,21 +252,7 @@ def dd_backward_sweep(
     status: dict | None = None,
 ) -> DecomposedVelocity:
     """Strip-by-strip implicit solves in decreasing strip order, no forcing."""
-    grid = U.grid
-    nu = op.nu
-    out: list[VelocityField] = []
-    suffix = np.zeros((2,) + grid.shape)
-    for a in range(part.m - 1, -1, -1):
-        chi = part.masks[a]
-        rhs = _stack(U.components[a])
-        if a < part.m - 1:
-            rhs = rhs - tau * chi.eta * _viscous_raw(suffix, grid, nu)
-        x, rep = cg_solve(_strip_system(grid, nu, tau, chi.eta), rhs, solver)
-        _tally(status, rep, f"backward sweep, strip {a}")
-        out.append(_unstack(grid, x))
-        suffix += chi.eta * x
-    out.reverse()
-    return DecomposedVelocity(out)
+    return _sweep(U, None, tau, op, part, solver, status, range(part.m - 1, -1, -1), "backward sweep")
 
 
 def dd_pressure_substeps(
@@ -288,11 +278,11 @@ def dd_pressure_substeps(
         def system(q: np.ndarray, eta2: np.ndarray = eta2) -> np.ndarray:
             return -_divergence_raw(eta2 * _gradient_raw(q, grid), grid)
 
-        x = _stack(comp)
+        x = comp.data
         rhs = -(1.0 / tau) * _divergence_raw(eta * x, grid)
         parr, rep = cg_solve(system, rhs, solver)
         _tally(status, rep, f"pressure substep, strip {a}")
-        out.append(_unstack(grid, x - tau * eta * _gradient_raw(parr, grid)))
+        out.append(VelocityField.wrap(grid, x - tau * eta * _gradient_raw(parr, grid)))
         pressures.append(PressureField(grid, parr))
     return DecomposedVelocity(out), pressures
 
@@ -309,12 +299,15 @@ def blend_pressures(part: Partition, pressures: list[PressureField]) -> Pressure
     return PressureField(part.grid, out)
 
 
-def _finite_or_raise(*values: float) -> None:
-    for v in values:
+def _report(
+    step: int, t: float, norms: tuple[float, float, float, float], norm_f: float,
+    div_res: float, div_scale: float, status: dict, margin: float,
+) -> StepReport:
+    """Pack one step's diagnostics; norms are (state, quarter, half, end)."""
+    for v in (*norms, div_res, margin):
         if not math.isfinite(v):
-            from .linsolve import NumericalBreakdownError
-
             raise NumericalBreakdownError(f"non-finite norm {v} in step report")
+    return StepReport(step, t, *norms, norm_f, div_res, div_scale, status.get("cg_iters", 0), margin)
 
 
 def step_monolithic(
@@ -329,32 +322,19 @@ def step_monolithic(
 
     u_star = viscous_step_monolithic(u, f_half, tau, cfg.viscous, cfg.solver, status)
     norm_star = norm_velocity(u_star)
-    div_scale = norm_pressure(PressureField(u.grid, _divergence_raw(_stack(u_star), u.grid)))
+    div_scale = norm_pressure(PressureField(u.grid, _divergence_raw(u_star.data, u.grid)))
 
     u_new, p_new = pressure_projection(u_star, tau, cfg.solver, status)
     norm_new = norm_velocity(u_new)
-    div_res = norm_pressure(PressureField(u.grid, _divergence_raw(_stack(u_new), u.grid)))
+    div_res = norm_pressure(PressureField(u.grid, _divergence_raw(u_new.data, u.grid)))
 
     margin = (
         norm_n**2
         + tau / (cfg.nu * spectral_lower_bound(cfg.grid)) * norm_f**2
         - norm_new**2
     )
-    _finite_or_raise(norm_n, norm_star, norm_new, div_res, margin)
-    report = StepReport(
-        step=step,
-        t=t + tau,
-        norm_state=norm_n,
-        norm_quarter=norm_star,
-        norm_half=norm_star,
-        norm_end=norm_new,
-        norm_forcing=norm_f,
-        div_residual=div_res,
-        div_scale=div_scale,
-        cg_iters_total=status.get("cg_iters", 0),
-        bound_margin=margin,
-    )
-    return u_new, p_new, report
+    norms = (norm_n, norm_star, norm_star, norm_new)
+    return u_new, p_new, _report(step, t + tau, norms, norm_f, div_res, div_scale, status, margin)
 
 
 def step_decomposed(
@@ -378,32 +358,19 @@ def step_decomposed(
 
     grid = cfg.grid
     div_scale = max(
-        norm_pressure(PressureField(grid, _divergence_raw(chi.eta * _stack(c), grid)))
+        norm_pressure(PressureField(grid, _divergence_raw(chi.eta * c.data, grid)))
         for chi, c in zip(part.masks, U_half.components)
     )
     U_new, pressures = dd_pressure_substeps(U_half, tau, part, cfg.solver, status)
     norm_new = norm_decomposed(U_new)
     div_res = max(
-        norm_pressure(PressureField(grid, _divergence_raw(chi.eta * _stack(c), grid)))
+        norm_pressure(PressureField(grid, _divergence_raw(chi.eta * c.data, grid)))
         for chi, c in zip(part.masks, U_new.components)
     )
 
     margin = math.exp(tau) * norm_n**2 + tau * norm_f**2 - norm_new**2
-    _finite_or_raise(norm_n, norm_quarter, norm_half, norm_new, div_res, margin)
-    report = StepReport(
-        step=step,
-        t=t + tau,
-        norm_state=norm_n,
-        norm_quarter=norm_quarter,
-        norm_half=norm_half,
-        norm_end=norm_new,
-        norm_forcing=norm_f,
-        div_residual=div_res,
-        div_scale=div_scale,
-        cg_iters_total=status.get("cg_iters", 0),
-        bound_margin=margin,
-    )
-    return U_new, pressures, report
+    norms = (norm_n, norm_quarter, norm_half, norm_new)
+    return U_new, pressures, _report(step, t + tau, norms, norm_f, div_res, div_scale, status, margin)
 
 
 def run(cfg: SchemeConfig) -> RunResult:
@@ -412,27 +379,19 @@ def run(cfg: SchemeConfig) -> RunResult:
     A solver failure aborts the run; the partial report series is returned
     with completed False rather than raised away.
     """
-    from .linsolve import NumericalBreakdownError
-
+    monolithic = cfg.scheme == "monolithic"
+    # looked up per call, so a caller may patch the module's step functions
+    step_fn = step_monolithic if monolithic else step_decomposed
+    state = cfg.v.copy() if monolithic else decompose(cfg.partition, cfg.v)
+    pressure = None
     reports: list[StepReport] = []
-    if cfg.scheme == "monolithic":
-        u = cfg.v.copy()
-        p: PressureField | None = None
-        try:
-            for n in range(cfg.n_steps):
-                u, p, rep = step_monolithic(u, n * cfg.tau, cfg, step=n + 1)
-                reports.append(rep)
-        except (UnconvergedSolveError, NumericalBreakdownError) as exc:
-            return RunResult(cfg, reports, u, None, p, None, False, str(exc))
-        return RunResult(cfg, reports, u, None, p, None, True)
-
-    part = cfg.partition
-    U = decompose(part, cfg.v)
-    pressures: list[PressureField] | None = None
+    completed, message = True, ""
     try:
         for n in range(cfg.n_steps):
-            U, pressures, rep = step_decomposed(U, n * cfg.tau, cfg, step=n + 1)
+            state, pressure, rep = step_fn(state, n * cfg.tau, cfg, step=n + 1)
             reports.append(rep)
     except (UnconvergedSolveError, NumericalBreakdownError) as exc:
-        return RunResult(cfg, reports, recompose(part, U), U, None, pressures, False, str(exc))
-    return RunResult(cfg, reports, recompose(part, U), U, None, pressures, True)
+        completed, message = False, str(exc)
+    if monolithic:
+        return RunResult(cfg, reports, state, None, pressure, None, completed, message)
+    return RunResult(cfg, reports, recompose(cfg.partition, state), state, None, pressure, completed, message)

@@ -50,10 +50,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def random_velocity(grid: GridSpec, rng: np.random.Generator, scale: float = 1.0) -> VelocityField:
     """Uniform(-scale, scale) interior values, drawn row-major, u1 then u2."""
-    shape = (grid.n1 - 1, grid.n2 - 1)
     u = VelocityField.zeros(grid)
-    u.u1[1:-1, 1:-1] = rng.uniform(-scale, scale, shape)
-    u.u2[1:-1, 1:-1] = rng.uniform(-scale, scale, shape)
+    u.data[:, 1:-1, 1:-1] = rng.uniform(-scale, scale, (2, grid.n1 - 1, grid.n2 - 1))
     return u
 
 
@@ -87,9 +85,11 @@ def _trig(case: ManufacturedCase, grid: GridSpec, t: float):
 def exact_velocity(case: ManufacturedCase, grid: GridSpec, t: float) -> VelocityField:
     a, b, x, y, decay = _trig(case, grid, t)
     amp = case.amplitude
-    u1 = amp * b * np.sin(a * x) ** 2 * np.sin(2 * b * y) * decay
-    u2 = -amp * a * np.sin(2 * a * x) * np.sin(b * y) ** 2 * decay
-    return VelocityField(grid, u1, u2)
+    data = np.empty((2,) + grid.shape)
+    np.multiply(amp * b * np.sin(a * x) ** 2, np.sin(2 * b * y), out=data[0])
+    np.multiply(-amp * a * np.sin(2 * a * x), np.sin(b * y) ** 2, out=data[1])
+    data *= decay
+    return VelocityField.wrap(grid, data)
 
 
 def exact_pressure(case: ManufacturedCase, grid: GridSpec, t: float) -> PressureField:
@@ -105,17 +105,18 @@ def exact_forcing(case: ManufacturedCase, grid: GridSpec, t: float) -> VelocityF
     amp, lam, nu = case.amplitude, case.decay, case.nu
     sin_ax2 = np.sin(a * x) ** 2
     sin_by2 = np.sin(b * y) ** 2
-    f1 = decay * (
+    data = np.empty((2,) + grid.shape)
+    np.multiply(decay, (
         -lam * amp * b * sin_ax2 * np.sin(2 * b * y)
         - a * np.sin(a * x) * np.cos(b * y)
         - nu * (2 * a**2 * amp * b * np.cos(2 * a * x) * np.sin(2 * b * y) - 4 * amp * b**3 * sin_ax2 * np.sin(2 * b * y))
-    )
-    f2 = decay * (
+    ), out=data[0])
+    np.multiply(decay, (
         lam * amp * a * np.sin(2 * a * x) * sin_by2
         - b * np.cos(a * x) * np.sin(b * y)
         - nu * (4 * amp * a**3 * np.sin(2 * a * x) * sin_by2 - 2 * amp * a * b**2 * np.sin(2 * a * x) * np.cos(2 * b * y))
-    )
-    return VelocityField(grid, f1, f2)
+    ), out=data[1])
+    return VelocityField.wrap(grid, data)
 
 
 def manufactured(case: ManufacturedCase, grid: GridSpec, t: float) -> tuple[VelocityField, PressureField, VelocityField]:
@@ -130,8 +131,7 @@ def forcing_of(case: ManufacturedCase, grid: GridSpec) -> Callable[[float], Velo
 
 def error_norms(numeric: VelocityField, exact: VelocityField) -> float:
     """Velocity error in the discrete energy norm."""
-    diff = VelocityField(numeric.grid, numeric.u1 - exact.u1, numeric.u2 - exact.u2)
-    return norm_velocity(diff)
+    return norm_velocity(VelocityField.wrap(numeric.grid, numeric.data - exact.data))
 
 
 # -- stability monitors
@@ -342,7 +342,7 @@ def verification_checks(seed: int = 2024) -> list[CheckResult]:
     y = grid.coords2()[None, :]
     mode = np.sin(math.pi * x / grid.l1) * np.sin(math.pi * y / grid.l2)
     eig = VelocityField(grid, mode, mode)
-    defect = error_norms(apply_viscous(op, eig), VelocityField(grid, bound * eig.u1, bound * eig.u2))
+    defect = error_norms(apply_viscous(op, eig), VelocityField.wrap(grid, bound * eig.data))
     add(
         "viscous operator",
         worst_sym <= 1e-12 and worst_coe >= -1e-10 and defect <= 1e-10 * norm_velocity(eig),

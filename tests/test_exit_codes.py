@@ -1,0 +1,36 @@
+"""Exit code 2 means the configuration was rejected before any run started."""
+
+import pytest
+
+from stokesdd import schemes
+from stokesdd.cli import main
+
+REJECTED = [
+    ["--nu", "-1"],
+    ["--scheme", "decomposed", "--m", "0"],
+    ["--scheme", "decomposed", "--n1", "8", "--overlap", "9"],
+    ["--n1", "1"],
+]
+
+
+@pytest.mark.parametrize("flags", REJECTED, ids=lambda flags: " ".join(flags))
+@pytest.mark.parametrize("command", ["run", "stability", "converge"])
+def test_rejected_configuration_exits_2_before_the_run(command, flags, tmp_path, monkeypatch, capsys):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran for a rejected configuration")
+
+    monkeypatch.setattr(schemes, "step_monolithic", no_step)
+    monkeypatch.setattr(schemes, "step_decomposed", no_step)
+    out = tmp_path / "out"
+    assert main([command, *flags, "--steps", "2", "--out_dir", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_error_inside_a_step_is_not_a_configuration_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken step")
+
+    monkeypatch.setattr(schemes, "step_monolithic", broken)
+    with pytest.raises(ValueError, match="broken step"):
+        main(["run", "--n1", "8", "--n2", "8", "--out_dir", str(tmp_path / "out")])
