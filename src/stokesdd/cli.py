@@ -317,20 +317,18 @@ def cmd_converge(conf: dict) -> int:
         return result.velocity
 
     exact_final = exact_velocity(case, temporal["monolithic"][0].grid, conf["t_final"])
-    for scheme, cfgs in temporal.items():
-        finals = [final_velocity(cfg) for cfg in cfgs]
-        errors = [error_norms(u, exact_final) for u in finals]
+    finals = {scheme: [final_velocity(cfg) for cfg in cfgs] for scheme, cfgs in temporal.items()}
+    for scheme in temporal:
+        errors = [error_norms(u, exact_final) for u in finals[scheme]]
         for k, (tau, err) in enumerate(zip(taus, errors)):
             ratio = errors[k - 1] / err if k else float("nan")
             order = np.log2(ratio) if k else float("nan")
             rows.append(["tau", scheme, conf["n1"], tau, err, ratio, order])
-        if scheme == "decomposed":
-            monos = [final_velocity(cfg) for cfg in temporal["monolithic"]]
-            gaps = [error_norms(a, b) for a, b in zip(finals, monos)]
-            for k, (tau, gap) in enumerate(zip(taus, gaps)):
-                ratio = gaps[k - 1] / gap if k else float("nan")
-                order = np.log2(ratio) if k else float("nan")
-                rows.append(["gap", scheme, conf["n1"], tau, gap, ratio, order])
+    gaps = [error_norms(a, b) for a, b in zip(finals["decomposed"], finals["monolithic"])]
+    for k, (tau, gap) in enumerate(zip(taus, gaps)):
+        ratio = gaps[k - 1] / gap if k else float("nan")
+        order = np.log2(ratio) if k else float("nan")
+        rows.append(["gap", "decomposed", conf["n1"], tau, gap, ratio, order])
 
     errors = [error_norms(final_velocity(cfg), exact_velocity(case, cfg.grid, conf["t_final"])) for cfg in spatial]
     for k, (n, err) in enumerate(zip(grids, errors)):

@@ -1,10 +1,12 @@
-"""Plain conjugate gradient for the selfadjoint systems the schemes produce.
+"""Conjugate gradient for the selfadjoint systems the schemes produce.
 
-No preconditioning, zero initial guess, fixed-order reductions, so repeated
-solves of the same system give bitwise-identical results.  Semidefinite
+Zero initial guess, fixed-order reductions, so repeated solves of the same
+system give bitwise-identical results.  An optional preconditioner turns the
+iteration into preconditioned CG; without one it is plain CG.  Semidefinite
 systems with consistent right-hand sides are fine: starting from zero keeps
 every iterate inside the range of the operator, and the stopping test only
-looks at the residual.
+looks at the residual.  A preconditioner can leave that range, so a singular
+system solved with one needs a ``project`` hook onto the range.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ class SolveConfig:
     Convergence requires the residual norm to fall below
     max(rel_tol * initial residual, abs_tol).  max_iter of None means ten
     times the unknown count.  deflate_constants projects the constant mode
-    out of the right-hand side, every search direction, and the returned
-    solution; use it for singular systems whose kernel contains constants.
+    out of the right-hand side, every search direction, every preconditioned
+    residual, and the returned solution; use it for singular systems whose
+    kernel contains constants.
     """
 
     rel_tol: float = 1e-10
@@ -53,6 +56,7 @@ def cg_solve(
     rhs: np.ndarray,
     cfg: SolveConfig | None = None,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve apply(x) = rhs by conjugate gradients from a zero initial guess.
 
@@ -68,7 +72,12 @@ def cg_solve(
         Replacement for the default constant-mode projection when
         cfg.deflate_constants is set.  Receives and returns an array; used
         when the constant mode of the underlying field does not coincide
-        with the constant vector of the raw array.
+        with the constant vector of the raw array.  With a preconditioner it
+        is also applied to every preconditioned residual.
+    precondition : callable, optional
+        Approximate inverse of the operator; must be selfadjoint and
+        positive definite on the range.  Receives the residual and returns a
+        new array.  The stopping test stays on the unpreconditioned residual.
 
     Returns
     -------
@@ -95,9 +104,21 @@ def cg_solve(
     if res0 <= target:
         return x, SolveReport(iterations=0, residual=res0, converged=True)
 
+    def preconditioned(r: np.ndarray) -> tuple[np.ndarray, float]:
+        z = precondition(r)
+        if cfg.deflate_constants:
+            z = project(z)
+        rz = _dot(r, z)
+        if not math.isfinite(rz) or rz <= 0.0:
+            raise NumericalBreakdownError(f"preconditioned residual product is {rz}")
+        return z, rz
+
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * r.size
-    d = r.copy()
-    rr = res0 * res0
+    if precondition is None:
+        d = r.copy()
+        rz = res0 * res0
+    else:
+        d, rz = preconditioned(r)
     res = res0
     converged = False
     iterations = 0
@@ -106,7 +127,7 @@ def cg_solve(
         dq = _dot(d, q)
         if not math.isfinite(dq) or dq <= 0.0:
             raise NumericalBreakdownError(f"curvature {dq} on iteration {iterations}")
-        alpha = rr / dq
+        alpha = rz / dq
         x += alpha * d
         r -= alpha * q
         rr_new = _dot(r, r)
@@ -116,10 +137,14 @@ def cg_solve(
         if res <= target:
             converged = True
             break
-        d = r + (rr_new / rr) * d
+        if precondition is None:
+            z, rz_new = r, rr_new
+        else:
+            z, rz_new = preconditioned(r)
+        d = z + (rz_new / rz) * d
         if cfg.deflate_constants:
             d = project(d)
-        rr = rr_new
+        rz = rz_new
 
     if cfg.deflate_constants:
         x = project(x)
