@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import InvalidGridError, PressureField, VelocityField, make_grid
+from .grid import GridSpec, InvalidGridError, PressureField, VelocityField, make_grid
 from .linsolve import SolveConfig
 from .operators import spectral_lower_bound
 from .schemes import RunResult, SchemeConfig, blend_pressures, run
@@ -37,6 +37,11 @@ from .verify import (
 class ConfigError(ValueError):
     """Unknown keys, unparsable values, or infeasible settings."""
 
+
+# A run holds about 200 bytes per node (monolithic; 350 with four strips, more
+# with more), so this grid already needs a gigabyte or more; larger grids are
+# rejected before any field is allocated.
+MAX_NODES = 4_000_000
 
 # key -> (parser, default); the CLI exposes each key as --key
 _KEYS: dict[str, tuple] = {
@@ -129,6 +134,9 @@ def build_scheme_config(conf: dict) -> SchemeConfig:
         grid = make_grid(conf["l1"], conf["l2"], conf["n1"], conf["n2"])
     except InvalidGridError as exc:
         raise ConfigError(str(exc)) from exc
+    nodes = (grid.n1 + 1) * (grid.n2 + 1)
+    if nodes > MAX_NODES:
+        raise ConfigError(f"grid has {nodes} nodes, more than the limit {MAX_NODES}")
     case = _case_of(conf)
     if conf["initial"] == "zero":
         v = VelocityField.zeros(grid)
@@ -165,48 +173,38 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_steps_csv(path: Path, reports) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One header line, then the rows; csv writes a python float by its repr."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["step", "t", "norm_state", "norm_quarter", "norm_half", "norm_end", "div_residual", "cg_iters_total", "bound_margin"]
-        )
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep.step,
-                    _fmt(rep.t),
-                    _fmt(rep.norm_state),
-                    _fmt(rep.norm_quarter),
-                    _fmt(rep.norm_half),
-                    _fmt(rep.norm_end),
-                    _fmt(rep.div_residual),
-                    rep.cg_iters_total,
-                    _fmt(rep.bound_margin),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_steps_csv(path: Path, reports) -> None:
+    header = ["step", "t", "norm_state", "norm_quarter", "norm_half", "norm_end", "div_residual", "cg_iters_total", "bound_margin"]
+    _write_csv(path, header, ([_fmt(getattr(rep, key)) for key in header] for rep in reports))
+
+
+def _node_rows(grid: GridSpec, columns: list[np.ndarray], first: int):
+    """One row (i1, i2, x1, x2, *values) per node with i1, i2 >= first.
+
+    Each i1 line of every column becomes python floats on its own, so no
+    full-grid list is ever built."""
+    i2s = range(first, grid.n2 + 1)
+    x2s = [i2 * grid.h2 for i2 in i2s]
+    for i1 in range(first, grid.n1 + 1):
+        x1 = i1 * grid.h1
+        for i2, x2, *values in zip(i2s, x2s, *(c[i1, first:].tolist() for c in columns)):
+            yield (i1, i2, x1, x2, *values)
 
 
 def write_velocity_csv(path: Path, u: VelocityField) -> None:
-    grid, u1, u2 = u.grid, u.u1, u.u2
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i1", "i2", "x1", "x2", "u1", "u2"])
-        for i1 in range(grid.n1 + 1):
-            for i2 in range(grid.n2 + 1):
-                writer.writerow(
-                    [i1, i2, _fmt(i1 * grid.h1), _fmt(i2 * grid.h2), _fmt(u1[i1, i2]), _fmt(u2[i1, i2])]
-                )
+    _write_csv(path, ["i1", "i2", "x1", "x2", "u1", "u2"], _node_rows(u.grid, [u.u1, u.u2], 0))
 
 
 def write_pressure_csv(path: Path, p: PressureField) -> None:
-    grid = p.grid
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i1", "i2", "x1", "x2", "p"])
-        for i1 in range(1, grid.n1 + 1):
-            for i2 in range(1, grid.n2 + 1):
-                writer.writerow([i1, i2, _fmt(i1 * grid.h1), _fmt(i2 * grid.h2), _fmt(p.p[i1, i2])])
+    _write_csv(path, ["i1", "i2", "x1", "x2", "p"], _node_rows(p.grid, [p.p], 1))
 
 
 def _write_manifest(out_dir: Path, command: str, conf: dict, extra: dict, started: float) -> None:
@@ -268,18 +266,22 @@ def cmd_run(conf: dict) -> int:
     return 0 if ok else 1
 
 
-def _int_list(raw: str, what: str) -> list[int]:
+def _list(raw: str, kind: type, what: str) -> list:
     try:
-        return [int(part) for part in raw.split(",") if part.strip()]
+        return [kind(part) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} list {raw!r}") from exc
 
 
-def _float_list(raw: str, what: str) -> list[float]:
-    try:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} list {raw!r}") from exc
+def _refinement(study: str, scheme: str, ns: list[int], taus: list[float], errors: list[float]) -> list[list]:
+    """Table rows of one refinement series: each error with its ratio to the
+    previous error and the observed order log2(ratio)."""
+    rows = []
+    for k, (n, tau, err) in enumerate(zip(ns, taus, errors)):
+        ratio = errors[k - 1] / err if k else float("nan")
+        order = np.log2(ratio) if k else float("nan")
+        rows.append([study, scheme, n, tau, err, ratio, order])
+    return rows
 
 
 def cmd_converge(conf: dict) -> int:
@@ -292,8 +294,8 @@ def cmd_converge(conf: dict) -> int:
     out_dir = Path(conf["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    taus = _float_list(conf["taus"], "taus")
-    grids = _int_list(conf["grids"], "grids")
+    taus = _list(conf["taus"], float, "taus")
+    grids = _list(conf["grids"], int, "grids")
     if not taus or not grids:
         raise ConfigError("converge needs non-empty taus and grids lists")
     case = _case_of(conf)
@@ -307,7 +309,6 @@ def cmd_converge(conf: dict) -> int:
     # every configuration is built, and so validated, before the first run
     temporal = {s: [config(s, tau, conf["n1"], conf["n2"]) for tau in taus] for s in ("monolithic", "decomposed")}
     spatial = [config(conf["scheme"], tau_min, n, n) for n in grids]
-    rows: list[list] = []
     ok = True
 
     def final_velocity(cfg: SchemeConfig) -> VelocityField:
@@ -318,29 +319,20 @@ def cmd_converge(conf: dict) -> int:
 
     exact_final = exact_velocity(case, temporal["monolithic"][0].grid, conf["t_final"])
     finals = {scheme: [final_velocity(cfg) for cfg in cfgs] for scheme, cfgs in temporal.items()}
+    n1s = [conf["n1"]] * len(taus)
+    rows: list[list] = []
     for scheme in temporal:
-        errors = [error_norms(u, exact_final) for u in finals[scheme]]
-        for k, (tau, err) in enumerate(zip(taus, errors)):
-            ratio = errors[k - 1] / err if k else float("nan")
-            order = np.log2(ratio) if k else float("nan")
-            rows.append(["tau", scheme, conf["n1"], tau, err, ratio, order])
+        rows += _refinement("tau", scheme, n1s, taus, [error_norms(u, exact_final) for u in finals[scheme]])
     gaps = [error_norms(a, b) for a, b in zip(finals["decomposed"], finals["monolithic"])]
-    for k, (tau, gap) in enumerate(zip(taus, gaps)):
-        ratio = gaps[k - 1] / gap if k else float("nan")
-        order = np.log2(ratio) if k else float("nan")
-        rows.append(["gap", "decomposed", conf["n1"], tau, gap, ratio, order])
-
+    rows += _refinement("gap", "decomposed", n1s, taus, gaps)
     errors = [error_norms(final_velocity(cfg), exact_velocity(case, cfg.grid, conf["t_final"])) for cfg in spatial]
-    for k, (n, err) in enumerate(zip(grids, errors)):
-        ratio = errors[k - 1] / err if k else float("nan")
-        order = np.log2(ratio) if k else float("nan")
-        rows.append(["grid", conf["scheme"], n, tau_min, err, ratio, order])
+    rows += _refinement("grid", conf["scheme"], grids, [tau_min] * len(grids), errors)
 
-    with open(out_dir / "converge.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["study", "scheme", "n", "tau", "error", "ratio", "order"])
-        for row in rows:
-            writer.writerow([row[0], row[1], row[2], _fmt(row[3]), _fmt(row[4]), _fmt(row[5]), _fmt(row[6])])
+    _write_csv(
+        out_dir / "converge.csv",
+        ["study", "scheme", "n", "tau", "error", "ratio", "order"],
+        ([*row[:3], *map(_fmt, row[3:])] for row in rows),
+    )
     _write_manifest(out_dir, "converge", conf, {"rows": len(rows), "completed": ok, "outputs": {"table": "converge.csv"}}, started)
     for row in rows:
         print(f"{row[0]:>5} {row[1]:>11} n={row[2]:>3} tau={row[3]:<8g} error={row[4]:.4e} order={row[6]:.2f}")
@@ -352,7 +344,7 @@ def cmd_stability(conf: dict) -> int:
     out_dir = Path(conf["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    taus = _float_list(conf["taus"], "taus")
+    taus = _list(conf["taus"], float, "taus")
     cfgs = [
         build_scheme_config(dict(conf, initial="random", forcing="none", tau=tau, t_final=tau * conf["steps"]))
         for tau in taus

@@ -5,8 +5,9 @@ system give bitwise-identical results.  An optional preconditioner turns the
 iteration into preconditioned CG; without one it is plain CG.  Semidefinite
 systems with consistent right-hand sides are fine: starting from zero keeps
 every iterate inside the range of the operator, and the stopping test only
-looks at the residual.  A preconditioner can leave that range, so a singular
-system solved with one needs a ``project`` hook onto the range.
+looks at the residual.  A preconditioner can leave that range, so the one
+switch for a singular system is a ``project`` hook onto the range, which
+cg_solve applies wherever the iteration could leave it.
 """
 
 from __future__ import annotations
@@ -28,16 +29,12 @@ class SolveConfig:
 
     Convergence requires the residual norm to fall below
     max(rel_tol * initial residual, abs_tol).  max_iter of None means ten
-    times the unknown count.  deflate_constants projects the constant mode
-    out of the right-hand side, every search direction, every preconditioned
-    residual, and the returned solution; use it for singular systems whose
-    kernel contains constants.
+    times the unknown count.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_iter: int | None = None
-    deflate_constants: bool = False
 
 
 @dataclass(frozen=True)
@@ -69,11 +66,11 @@ def cg_solve(
         Right-hand side; any shape, treated as one flat unknown vector.
     cfg : SolveConfig, optional
     project : callable, optional
-        Replacement for the default constant-mode projection when
-        cfg.deflate_constants is set.  Receives and returns an array; used
-        when the constant mode of the underlying field does not coincide
-        with the constant vector of the raw array.  With a preconditioner it
-        is also applied to every preconditioned residual.
+        Projection onto the range of a singular operator; passing one is
+        what marks the system singular.  It is applied to the right-hand
+        side, every preconditioned residual, every search direction and the
+        returned solution.  Receives an array it may overwrite and returns
+        the projected array.
     precondition : callable, optional
         Approximate inverse of the operator; must be selfadjoint and
         positive definite on the range.  Receives the residual and returns a
@@ -87,13 +84,8 @@ def cg_solve(
         NumericalBreakdownError.
     """
     cfg = cfg or SolveConfig()
-    if cfg.deflate_constants and project is None:
-        def project(arr: np.ndarray) -> np.ndarray:
-            arr -= arr.mean()
-            return arr
-
     r = rhs.astype(float, copy=True)
-    if cfg.deflate_constants:
+    if project is not None:
         r = project(r)
     x = np.zeros_like(r)
 
@@ -104,9 +96,12 @@ def cg_solve(
     if res0 <= target:
         return x, SolveReport(iterations=0, residual=res0, converged=True)
 
-    def preconditioned(r: np.ndarray) -> tuple[np.ndarray, float]:
+    def preconditioned(r: np.ndarray, rr: float) -> tuple[np.ndarray, float]:
+        """z = M r and (r, z); plain CG takes z = r, whose product rr is known."""
+        if precondition is None:
+            return r, rr
         z = precondition(r)
-        if cfg.deflate_constants:
+        if project is not None:
             z = project(z)
         rz = _dot(r, z)
         if not math.isfinite(rz) or rz <= 0.0:
@@ -114,11 +109,8 @@ def cg_solve(
         return z, rz
 
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * r.size
-    if precondition is None:
-        d = r.copy()
-        rz = res0 * res0
-    else:
-        d, rz = preconditioned(r)
+    z, rz = preconditioned(r, res0 * res0)
+    d = z.copy()
     res = res0
     converged = False
     iterations = 0
@@ -137,15 +129,12 @@ def cg_solve(
         if res <= target:
             converged = True
             break
-        if precondition is None:
-            z, rz_new = r, rr_new
-        else:
-            z, rz_new = preconditioned(r)
+        z, rz_new = preconditioned(r, rr_new)
         d = z + (rz_new / rz) * d
-        if cfg.deflate_constants:
+        if project is not None:
             d = project(d)
         rz = rz_new
 
-    if cfg.deflate_constants:
+    if project is not None:
         x = project(x)
     return x, SolveReport(iterations=iterations, residual=res, converged=converged)

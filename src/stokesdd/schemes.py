@@ -16,7 +16,7 @@ estimates, so stability monitors can replay a whole run from the reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -27,7 +27,6 @@ from .grid import (
     GridSpec,
     PressureField,
     VelocityField,
-    deflate_pressure,
     norm_decomposed,
     norm_pressure,
     norm_velocity,
@@ -44,6 +43,11 @@ from .partition import Partition, build_strips, decompose, recompose
 from .transforms import dirichlet_solve, neumann_preconditioner
 
 
+# Even tiny grids take about a millisecond per step, so this many steps is
+# hours of work; a longer run is taken to be a mistake in tau or t_final.
+MAX_STEPS = 10_000_000
+
+
 class UnconvergedSolveError(RuntimeError):
     """An implicit solve hit its iteration cap before reaching tolerance."""
 
@@ -53,7 +57,8 @@ class SchemeConfig:
     """Everything one run needs: initial state, time grid, physics, solver.
 
     The step count is round(t_final / tau), at least one step, and tau is
-    adjusted so that the steps cover t_final exactly.  The forcing callable
+    adjusted so that the steps cover t_final exactly; more than MAX_STEPS
+    steps is rejected.  The forcing callable
     receives the midpoint time of the step being taken and returns a
     VelocityField; None means no forcing.
     """
@@ -83,6 +88,8 @@ class SchemeConfig:
             raise ValueError(f"overlap must be a non-negative integer, got {self.overlap}")
         self.tau_requested = self.tau
         self.n_steps = max(1, round(self.t_final / self.tau))
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(f"t_final / tau gives {self.n_steps} steps, more than the limit {MAX_STEPS}")
         self.tau = self.t_final / self.n_steps
 
     @property
@@ -204,7 +211,6 @@ def pressure_projection(
     pinned at zero, and the mean over the pressure nodes is zero.
     """
     grid = u_star.grid
-    solver = replace(solver or SolveConfig(), deflate_constants=True)
 
     def system(q: np.ndarray) -> np.ndarray:
         return -_divergence_raw(_gradient_raw(q, grid), grid)
@@ -213,7 +219,7 @@ def pressure_projection(
     parr, rep = cg_solve(system, rhs, solver, project=_pressure_range, precondition=neumann_preconditioner(grid))
     _tally(status, rep, "pressure solve")
     xnew = u_star.data - tau * _gradient_raw(parr, grid)
-    return VelocityField.wrap(grid, xnew), deflate_pressure(PressureField(grid, parr))
+    return VelocityField.wrap(grid, xnew), PressureField(grid, parr)
 
 
 def _strip_system(grid: GridSpec, nu: float, tau: float, eta: np.ndarray):

@@ -88,7 +88,7 @@ def _plain_projection(u_star, tau):
     """The projection by unpreconditioned CG with constant deflation."""
     grid = u_star.grid
     rhs = -(1.0 / tau) * _divergence_raw(u_star.data, grid)
-    cfg = SolveConfig(rel_tol=TIGHT.rel_tol, abs_tol=TIGHT.abs_tol, deflate_constants=True)
+    cfg = SolveConfig(rel_tol=TIGHT.rel_tol, abs_tol=TIGHT.abs_tol)
     p, rep = cg_solve(lambda q: -_divergence_raw(_gradient_raw(q, grid), grid), rhs, cfg, project=_deflate_block)
     assert rep.converged
     return u_star.data - tau * _gradient_raw(p, grid), p
@@ -126,7 +126,7 @@ def test_preconditioned_iterates_stay_in_the_range():
         return -_divergence_raw(_gradient_raw(q, grid), grid)
 
     rhs = -_divergence_raw(random_velocity(grid, make_rng(6)).data, grid)
-    cfg = SolveConfig(rel_tol=1e-12, deflate_constants=True)
+    cfg = SolveConfig(rel_tol=1e-12)
     p, rep = cg_solve(system, rhs, cfg, project=_pressure_range, precondition=neumann_preconditioner(grid))
     assert rep.converged and 0 < rep.iterations < 30
     for arr in directions + [p]:
