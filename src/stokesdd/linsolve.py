@@ -1,4 +1,5 @@
-"""Conjugate gradient for the selfadjoint systems the schemes produce.
+"""Conjugate gradient for selfadjoint systems; in the schemes, the monolithic
+pressure solve (every other implicit stage is solved directly).
 
 Zero initial guess, fixed-order reductions, so repeated solves of the same
 system give bitwise-identical results.  An optional preconditioner turns the

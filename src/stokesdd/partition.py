@@ -9,12 +9,14 @@ recovers the original field because the squares sum to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .grid import DecomposedVelocity, GridMismatchError, GridSpec, VelocityField
 from .operators import MaskOperator, apply_mask
+from .transforms import StripFactors, pressure_factors, sweep_factors
 
 
 class InvalidPartitionError(ValueError):
@@ -23,16 +25,35 @@ class InvalidPartitionError(ValueError):
 
 @dataclass
 class Partition:
-    """Strip decomposition: masks plus the node extent of each strip."""
+    """Strip decomposition: masks plus the node extent of each strip.
+
+    It also keeps the factors of the strip solves, built on first use: the
+    sweep factors per (nu, tau), the pressure factors once.
+    """
 
     grid: GridSpec
     masks: list[MaskOperator]
     extents: list[tuple[int, int]]
     overlap: int
+    _sweep: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.masks)
+
+    def sweep_factors(self, nu: float, tau: float) -> list[StripFactors]:
+        """Per-strip factors of the sweep systems E + (tau/2) eta A eta."""
+        key = (nu, tau)
+        if key not in self._sweep:
+            self._sweep[key] = [
+                sweep_factors(self.grid, chi.eta[:, 0], ext, nu, tau) for chi, ext in zip(self.masks, self.extents)
+            ]
+        return self._sweep[key]
+
+    @cached_property
+    def pressure_factors(self) -> list[StripFactors]:
+        """Per-strip factors of the pressure systems -div(eta^2 grad)."""
+        return [pressure_factors(self.grid, chi.eta[:, 0], ext) for chi, ext in zip(self.masks, self.extents)]
 
 
 def build_strips(grid: GridSpec, m: int, overlap: int) -> Partition:

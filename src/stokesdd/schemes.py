@@ -6,8 +6,9 @@ Two engines share the spatial operators:
   discretely divergence-free velocities through a pressure Poisson solve;
 * decomposed: the viscous operator is split across overlapping strips into
   a block operator, advanced by a forward then a backward masked triangular
-  sweep (each solving small implicit strip systems), followed by one
-  projection per strip.
+  sweep (one implicit strip system per strip), followed by one projection
+  per strip.  Every strip system is separable and solved directly by a
+  transform along x2 and tridiagonal elimination along x1.
 
 Every step emits a StepReport with the norms entering the per-step energy
 estimates, so stability monitors can replay a whole run from the reports.
@@ -40,7 +41,7 @@ from .operators import (
     spectral_lower_bound,
 )
 from .partition import Partition, build_strips, decompose, recompose
-from .transforms import dirichlet_solve, neumann_preconditioner
+from .transforms import _pressure_range, dirichlet_solve, neumann_preconditioner, pressure_solve, sweep_solve
 
 
 # Even tiny grids take about a millisecond per step, so this many steps is
@@ -150,18 +151,15 @@ def _tally(status: dict | None, report: SolveReport, what: str) -> None:
         )
 
 
-def _pressure_range(arr: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the range of -div grad on the pressure nodes.
+def _direct(status: dict | None, r: np.ndarray, what: str) -> None:
+    """Report a direct solve: its true residual ``r``, zero iterations.
 
-    The kernel holds the constants and the delta at the corner node (n1, n2),
-    which no gradient component reads: zero the corner, then remove the mean
-    of the other pressure nodes.
+    A non-finite residual raises NumericalBreakdownError.
     """
-    arr[-1, -1] = 0.0
-    block = arr[1:, 1:]
-    block -= block.sum() / (block.size - 1)
-    arr[-1, -1] = 0.0
-    return arr
+    res = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
+    if not math.isfinite(res):
+        raise NumericalBreakdownError(f"{what}: residual norm is {res}")
+    _tally(status, SolveReport(iterations=0, residual=res, converged=True), what)
 
 
 def viscous_step_monolithic(
@@ -188,10 +186,7 @@ def viscous_step_monolithic(
     r *= tau
     r += x
     r -= rhs
-    res = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
-    if not math.isfinite(res):
-        raise NumericalBreakdownError(f"viscous solve: residual norm is {res}")
-    _tally(status, SolveReport(iterations=0, residual=res, converged=True), "viscous solve")
+    _direct(status, r, "viscous solve")
     return VelocityField.wrap(grid, x)
 
 
@@ -222,26 +217,19 @@ def pressure_projection(
     return VelocityField.wrap(grid, xnew), PressureField(grid, parr)
 
 
-def _strip_system(grid: GridSpec, nu: float, tau: float, eta: np.ndarray):
-    half = 0.5 * tau
-
-    def system(x: np.ndarray) -> np.ndarray:
-        return x + half * eta * _viscous_raw(eta * x, grid, nu)
-
-    return system
-
-
 def _sweep(
     U: DecomposedVelocity, F_half: DecomposedVelocity | None, tau: float, op: ViscousOperator,
-    part: Partition, solver: SolveConfig | None, status: dict | None, order: range, what: str,
+    part: Partition, status: dict | None, order: range, what: str,
 ) -> DecomposedVelocity:
     """Block triangular solve, one strip system per strip in ``order``.
 
     Ascending order solves (E + tau L) x = U + tau F, descending order
     (E + tau U) x = U, with L and U the triangles of the block operator.
+    Each strip system E + (tau/2) eta A eta is solved directly.
     """
     grid = U.grid
     nu = op.nu
+    factors = part.sweep_factors(nu, tau)
     out = [None] * part.m
     solved = np.zeros((2,) + grid.shape)
     for k, a in enumerate(order):
@@ -251,8 +239,12 @@ def _sweep(
             rhs = rhs + tau * F_half.components[a].data
         if k > 0:
             rhs = rhs - tau * eta * _viscous_raw(solved, grid, nu)
-        x, rep = cg_solve(_strip_system(grid, nu, tau, eta), rhs, solver)
-        _tally(status, rep, f"{what}, strip {a}")
+        x = sweep_solve(rhs, factors[a])
+        r = _viscous_raw(eta * x, grid, nu)
+        r *= 0.5 * tau * eta
+        r += x
+        r -= rhs
+        _direct(status, r, f"{what}, strip {a}")
         out[a] = VelocityField.wrap(grid, x)
         solved += eta * x
     return DecomposedVelocity(out)
@@ -270,9 +262,10 @@ def dd_forward_sweep(
     """Strip-by-strip implicit solves in increasing strip order.
 
     Strip a sees the already updated strips b < a through the coupling
-    blocks; its own implicit system is E + (tau/2) chi_a A chi_a.
+    blocks; its own implicit system is E + (tau/2) chi_a A chi_a, solved
+    directly, so ``solver`` is not used.
     """
-    return _sweep(U, F_half, tau, op, part, solver, status, range(part.m), "forward sweep")
+    return _sweep(U, F_half, tau, op, part, status, range(part.m), "forward sweep")
 
 
 def dd_backward_sweep(
@@ -283,8 +276,11 @@ def dd_backward_sweep(
     solver: SolveConfig | None = None,
     status: dict | None = None,
 ) -> DecomposedVelocity:
-    """Strip-by-strip implicit solves in decreasing strip order, no forcing."""
-    return _sweep(U, None, tau, op, part, solver, status, range(part.m - 1, -1, -1), "backward sweep")
+    """Strip-by-strip implicit solves in decreasing strip order, no forcing.
+
+    The strip systems are solved directly; ``solver`` is not used.
+    """
+    return _sweep(U, None, tau, op, part, status, range(part.m - 1, -1, -1), "backward sweep")
 
 
 def dd_pressure_substeps(
@@ -297,24 +293,25 @@ def dd_pressure_substeps(
     """Per-strip projections: strip a is corrected by its own pressure.
 
     Substeps do not interact, so the loop order is immaterial; each solves
-    the masked Poisson system and removes the masked gradient from its own
-    component only.
+    the masked Poisson system -div(eta^2 grad p) = -div(eta u) / tau
+    directly (``solver`` is not used) and removes the masked gradient from
+    its own component only.  Each strip pressure is the minimum-norm
+    solution: zero outside the strip's box and on the box's isolated corner
+    node, zero mean over the other box nodes.
     """
     grid = U.grid
     out: list[VelocityField] = []
     pressures: list[PressureField] = []
-    for a, (chi, comp) in enumerate(zip(part.masks, U.components)):
+    for a, (chi, comp, factors) in enumerate(zip(part.masks, U.components, part.pressure_factors)):
         eta = chi.eta
-        eta2 = eta * eta
-
-        def system(q: np.ndarray, eta2: np.ndarray = eta2) -> np.ndarray:
-            return -_divergence_raw(eta2 * _gradient_raw(q, grid), grid)
-
         x = comp.data
         rhs = -(1.0 / tau) * _divergence_raw(eta * x, grid)
-        parr, rep = cg_solve(system, rhs, solver)
-        _tally(status, rep, f"pressure substep, strip {a}")
-        out.append(VelocityField.wrap(grid, x - tau * eta * _gradient_raw(parr, grid)))
+        parr = pressure_solve(rhs, factors)
+        grad = _gradient_raw(parr, grid)
+        r = _divergence_raw(eta * eta * grad, grid)
+        r += rhs
+        _direct(status, r, f"pressure substep, strip {a}")
+        out.append(VelocityField.wrap(grid, x - tau * eta * grad))
         pressures.append(PressureField(grid, parr))
     return DecomposedVelocity(out), pressures
 

@@ -1,15 +1,20 @@
-"""Fast sine and cosine transforms for the two systems of the monolithic step.
+"""Fast sine and cosine transforms for every implicit system of both schemes.
 
-Both systems are built from the one-dimensional second difference, so real
+All the systems are built from the one-dimensional second difference, so real
 trigonometric transforms diagonalize them (Lynch, Rice and Thomas 1964;
 Hockney 1965):
 
-* the viscous system E + tau*nu*A, with A the Dirichlet five-point operator,
-  is diagonalized exactly by a sine transform (DST-I) along each axis, which
-  gives a direct solve;
+* the monolithic viscous system E + tau*nu*A, with A the Dirichlet
+  five-point operator, is diagonalized exactly by a sine transform (DST-I)
+  along each axis, which gives a direct solve;
 * the Neumann Laplacian on the pressure nodes is diagonalized by a cosine
   transform (DCT-II) along each axis; it is close to -div grad and serves as
-  its preconditioner.
+  the preconditioner of the monolithic pressure solve;
+* a strip's systems are separable, because its mask depends on i1 alone: a
+  transform along x2 (DST-I for the sweep system, DCT-II for the masked
+  pressure system) leaves one tridiagonal system in i1 per mode, which one
+  elimination sweep solves for all modes at once (Hockney 1965; Swarztrauber
+  1977).  Both solves are direct.
 
 Each transform is one ``numpy.fft.rfft`` of the odd or even extension of the
 data along one axis, written into work arrays that the caller reuses.  The
@@ -20,6 +25,7 @@ denominator is formed inside a work array when it is needed.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -110,10 +116,17 @@ def _cosine_tables(grid: GridSpec) -> tuple[np.ndarray, ...]:
     out = []
     for axis, (n, h) in enumerate(((grid.n1, grid.h1), (grid.n2, grid.h2))):
         lam = _second_difference(n, h)[:n]
-        tw = np.exp(-0.5j * math.pi * np.arange(n + 1) / n)
+        tw, twc = _twiddles(n)
         shape = (-1, 1) if axis == 0 else (1, -1)
-        out += [lam.reshape(shape), tw.reshape(shape), np.conj(tw[:n]).reshape(shape)]
+        out += [lam.reshape(shape), tw.reshape(shape), twc.reshape(shape)]
     return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """rfft twiddles of a length-n DCT-II, and the conjugates of the first n."""
+    tw = np.exp(-0.5j * math.pi * np.arange(n + 1) / n)
+    return tw, np.conj(tw[:n])
 
 
 def _cosine(b: np.ndarray, axis: int, ext: np.ndarray, spec: np.ndarray, tw: np.ndarray) -> None:
@@ -165,3 +178,175 @@ def neumann_preconditioner(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]
         return z
 
     return apply
+
+
+def _pressure_range(arr: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto the range of -div grad on the pressure nodes.
+
+    The kernel holds the constants and the delta at the corner node (n1, n2),
+    which no gradient component reads: zero the corner, then remove the mean
+    of the other pressure nodes.
+    """
+    arr[-1, -1] = 0.0
+    block = arr[1:, 1:]
+    block -= block.sum() / (block.size - 1)
+    arr[-1, -1] = 0.0
+    return arr
+
+
+# -- strip systems: transform along x2, elimination along x1
+
+@dataclass(frozen=True)
+class StripFactors:
+    """Elimination factors of one strip's tridiagonal systems, one per x2 mode.
+
+    The systems live on the i1 rows ``rows`` of the strip's box; ``mult`` and
+    ``inv_pivot`` are (rows, modes).  ``leaf`` is h2^2 / eta^2 on the rows
+    whose last pressure node is a leaf, and is used by the pressure systems
+    only.
+    """
+
+    rows: slice
+    mult: np.ndarray
+    inv_pivot: np.ndarray
+    leaf: np.ndarray | None = None
+
+
+def _factor(rows: slice, diag: np.ndarray, off: np.ndarray, leaf: np.ndarray | None = None) -> StripFactors:
+    """Thomas factors of symmetric tridiagonal systems, one per column of ``diag``.
+
+    ``off[i]`` couples rows i and i+1 and broadcasts against a row of
+    ``diag``.  The systems are positive definite, so no pivoting is needed.
+    """
+    mult = np.zeros_like(diag)
+    inv = np.zeros_like(diag)
+    for i in range(diag.shape[0]):
+        inv[i] = 1.0 / (diag[i] - mult[i - 1] * off[i - 1] if i else diag[0])
+        if i + 1 < diag.shape[0]:
+            mult[i] = off[i] * inv[i]
+    return StripFactors(rows, mult, inv, leaf)
+
+
+def _eliminate(b: np.ndarray, f: StripFactors) -> None:
+    """Solve the factored systems in place along axis 0 of ``b``.
+
+    The loop runs over rows, each a small array, so the rows are taken as
+    views once up front.
+    """
+    rows, mult, inv = list(b), list(f.mult), list(f.inv_pivot)
+    tmp = np.empty_like(rows[0])
+    for i in range(1, len(rows)):
+        rows[i] -= np.multiply(mult[i - 1], rows[i - 1], out=tmp)
+    rows[-1] *= inv[-1]
+    for i in range(len(rows) - 2, -1, -1):
+        rows[i] *= inv[i]
+        rows[i] -= np.multiply(mult[i], rows[i + 1], out=tmp)
+
+
+def _interior_rows(grid: GridSpec, extent: tuple[int, int]) -> tuple[int, int]:
+    """First and last interior row i1 where a strip's weight is positive.
+
+    A strip whose support holds no interior row gets last < first.
+    """
+    return max(extent[0], 1), min(extent[1], grid.n1 - 1)
+
+
+def sweep_factors(grid: GridSpec, eta: np.ndarray, extent: tuple[int, int], nu: float, tau: float) -> StripFactors:
+    """Factors of the sweep system x + (tau/2) eta A (eta x) of one strip.
+
+    ``eta`` is the strip weight per i1 row and ``extent`` the rows where it is
+    positive.  After a DST-I along x2, sine mode k is the tridiagonal system
+    on the interior rows of the extent with diagonal
+    1 + (tau nu/2) e_i^2 (2/h1^2 + lam2_k) and off-diagonal
+    -(tau nu/2) e_i e_{i+1} / h1^2; the factor 2*n2 of two sine sweeps is
+    folded in.
+    """
+    lo, hi = _interior_rows(grid, extent)
+    e = eta[lo : hi + 1, None]
+    scale = 2.0 * grid.n2
+    half = 0.5 * tau * nu
+    lam2 = _second_difference(grid.n2, grid.h2)[None, :]
+    diag = scale * (1.0 + half * (e * e) * (2.0 / grid.h1**2 + lam2))
+    off = (-scale * half / grid.h1**2) * (e[:-1] * e[1:])
+    return _factor(slice(lo, hi + 1), diag, off)
+
+
+def sweep_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:
+    """Solve one strip's sweep system for a stacked (2, n1+1, n2+1) right-hand side.
+
+    Rows outside the strip, where the weight is zero, keep the right-hand
+    side; the boundary of the result is zero.  Both components go through
+    one transform and one elimination sweep.
+    """
+    x = np.array(rhs, dtype=float)
+    if not f.mult.size:
+        return x
+    box = x[:, f.rows].transpose(1, 0, 2)
+    work = box.copy()  # (rows, component, i2): one contiguous block per row
+    work[:, :, 0] = work[:, :, -1] = 0.0
+    flat = work.reshape(-1, work.shape[-1])
+    ext = np.empty((flat.shape[0], 2 * (flat.shape[1] - 1)))
+    spec = np.empty(flat.shape, dtype=complex)
+    _sine(flat, 1, ext, spec)
+    _eliminate(work, f)
+    _sine(flat, 1, ext, spec)
+    box[...] = work
+    return x
+
+
+def pressure_factors(grid: GridSpec, eta: np.ndarray, extent: tuple[int, int]) -> StripFactors:
+    """Factors of one strip's pressure system -div(eta^2 grad p).
+
+    The system couples the interior rows of the extent plus the row after
+    it, which x1 fluxes join to the last of them: the strip's box.  Every
+    other node is in the kernel, and a strip with no interior row has the
+    zero system.  The box nodes with i2 = n2 are leaves joined only to
+    their x2 neighbour, except on the last box row, which has no x2 fluxes
+    and whose node there is isolated.  Eliminating the leaves leaves
+    A (x) I + B (x) N', with N' the Neumann second difference on n2 - 1
+    nodes, which a DCT-II along x2 reduces to one tridiagonal system in i1
+    per cosine mode.  Mode 0 is singular (the constants), so its last row is
+    pinned by doubling its diagonal.
+    """
+    lo, hi = _interior_rows(grid, extent)
+    if hi < lo:
+        return StripFactors(slice(lo, lo), np.zeros((0, 0)), np.zeros((0, 0)))
+    hi += 1
+    w = eta[lo : hi + 1] * eta[lo : hi + 1]
+    flux = np.zeros(w.size + 1)
+    flux[1:-1] = w[:-1] / grid.h1**2
+    across = w.copy()
+    across[-1] = 0.0
+    mu = _second_difference(grid.n2 - 1, grid.h2)[None, : grid.n2 - 1]
+    diag = (flux[:-1] + flux[1:])[:, None] + across[:, None] * mu
+    diag[-1, 0] += flux[-2]
+    return _factor(slice(lo, hi + 1), diag, -flux[1:-1, None], grid.h2**2 / w[:-1])
+
+
+def pressure_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:
+    """Solve one strip's pressure system for a consistent right-hand side.
+
+    Returns the minimum-norm solution, the one plain CG from zero converges
+    to: zero outside the box and on its isolated corner node, zero mean over
+    the other box nodes.
+    """
+    n2 = rhs.shape[1] - 1
+    p = np.zeros(rhs.shape)
+    if not f.mult.size:
+        return p
+    r = rhs[f.rows, 1:]
+    b = p[f.rows, 1:n2]
+    b[...] = r[:, :-1]
+    b[:-1, -1] += r[:-1, -1]  # each leaf's equation, folded into its neighbour's
+    tw, twc = _twiddles(n2 - 1)
+    ext = np.empty((b.shape[0], 2 * (n2 - 1)))
+    spec = np.empty((b.shape[0], n2), dtype=complex)
+    _cosine(b, 1, ext, spec, tw)
+    _eliminate(b, f)
+    _cosine_inverse(b, 1, ext, spec, twc)
+    leaves = p[f.rows, n2]
+    leaves[:-1] = b[:-1, -1] + f.leaf * r[:-1, -1]
+    # the range projection acts on the block [1:, 1:] of its argument and
+    # zeroes its last node: here the box and its isolated corner
+    _pressure_range(p[f.rows.start - 1 : f.rows.stop])
+    return p
