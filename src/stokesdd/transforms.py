@@ -16,8 +16,10 @@ Hockney 1965):
   elimination sweep solves for all modes at once (Hockney 1965; Swarztrauber
   1977).  Both solves are direct.
 
-Each transform is one ``numpy.fft.rfft`` of the odd or even extension of the
-data along one axis, written into work arrays that the caller reuses.  The
+Each transform is one ``numpy.fft.rfft`` along one axis, written into work
+arrays that the caller reuses: of the odd extension of the data (length 2n)
+for the DST-I, and of the data reordered, even-index entries first and then
+the odd-index ones reversed (length n), for the DCT-II (Makhoul 1980).  The
 eigenvalue tables are 1-D per axis, built on first use and cached; the 2-D
 denominator is formed inside a work array when it is needed.
 """
@@ -109,7 +111,7 @@ def dirichlet_solve(rhs: np.ndarray, grid: GridSpec, nu: float, tau: float) -> n
 
 @lru_cache(maxsize=16)
 def _cosine_tables(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Neumann eigenvalues, rfft twiddles and their conjugates, per axis.
+    """Neumann eigenvalues (n entries), DCT-II twiddles and their conjugates (n//2+1 entries), per axis.
 
     Each is shaped to broadcast along its own axis of the pressure block.
     """
@@ -124,28 +126,38 @@ def _cosine_tables(grid: GridSpec) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=16)
 def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """rfft twiddles of a length-n DCT-II, and the conjugates of the first n."""
-    tw = np.exp(-0.5j * math.pi * np.arange(n + 1) / n)
-    return tw, np.conj(tw[:n])
+    """exp(-i pi k / (2n)) for k = 0..n//2, the twiddles of a length-n DCT-II, and their conjugates."""
+    tw = np.exp(-0.5j * math.pi * np.arange(n // 2 + 1) / n)
+    return tw, np.conj(tw)
 
 
 def _cosine(b: np.ndarray, axis: int, ext: np.ndarray, spec: np.ndarray, tw: np.ndarray) -> None:
-    """b <- 2 DCT-II of b along axis: Re(tw * rfft(even extension of b))."""
-    n = b.shape[axis]
-    ext[_along(axis, slice(0, n))] = b
-    ext[_along(axis, slice(n, None))] = b[_along(axis, slice(None, None, -1))]
+    """b <- DCT-II of b along axis, sum_j b_j cos(pi k (2j+1) / (2n)).
+
+    Makhoul's method: with the even-index entries of ``b`` followed by the
+    odd-index ones in reverse order in ``ext``, W = tw * rfft(ext) gives mode
+    k as Re W_k and mode n-k as -Im W_k.
+    """
+    n, h = b.shape[axis], (b.shape[axis] + 1) // 2
+    ext[_along(axis, slice(0, h))] = b[_along(axis, slice(0, None, 2))]
+    ext[_along(axis, slice(h, None))] = b[_along(axis, slice(1, None, 2))][_along(axis, slice(None, None, -1))]
     rfft(ext, axis=axis, out=spec)
     spec *= tw
-    np.copyto(b, spec.real[_along(axis, slice(0, n))])
+    np.copyto(b[_along(axis, slice(0, n // 2 + 1))], spec.real)
+    np.negative(spec.imag[_along(axis, slice((n - 1) // 2, 0, -1))], out=b[_along(axis, slice(n // 2 + 1, None))])
 
 
 def _cosine_inverse(b: np.ndarray, axis: int, ext: np.ndarray, spec: np.ndarray, twc: np.ndarray) -> None:
-    """Inverse of _cosine: b <- first half of irfft(conj(tw) * b, padded with a zero mode)."""
-    n = b.shape[axis]
-    np.multiply(b, twc, out=spec[_along(axis, slice(0, n))])
-    spec[_along(axis, slice(n, None))] = 0.0
-    irfft(spec, n=2 * n, axis=axis, out=ext)
-    np.copyto(b, ext[_along(axis, slice(0, n))])
+    """Inverse of _cosine: irfft of twc * W, W_k = b_k - i b_{n-k} (b_n = 0), then the reordering undone."""
+    n, h = b.shape[axis], (b.shape[axis] + 1) // 2
+    top = b[_along(axis, slice(n - n // 2, None))]
+    spec.real[...] = b[_along(axis, slice(0, n // 2 + 1))]
+    spec.imag[_along(axis, slice(0, 1))] = 0.0
+    np.negative(top[_along(axis, slice(None, None, -1))], out=spec.imag[_along(axis, slice(1, None))])
+    spec *= twc
+    irfft(spec, n=n, axis=axis, out=ext)
+    b[_along(axis, slice(0, None, 2))] = ext[_along(axis, slice(0, h))]
+    b[_along(axis, slice(1, None, 2))] = ext[_along(axis, slice(h, None))][_along(axis, slice(None, None, -1))]
 
 
 def neumann_preconditioner(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -154,27 +166,27 @@ def neumann_preconditioner(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]
     The returned callable maps a pressure array (n1+1, n2+1) to a new one,
     acting on the pressure block [1:, 1:] and leaving row and column 0 at
     zero.  Its constant mode maps to zero.  The work arrays are allocated
-    here, once per solve, and reused by every application.
+    here, once per solve, and reused by every application: one real
+    (n1, n2) array, which also holds the denominator, and one complex array
+    of max((n1//2+1) n2, n1 (n2//2+1)) entries.
     """
     n1, n2 = grid.n1, grid.n2
     lam1, tw1, twc1, lam2, tw2, twc2 = _cosine_tables(grid)
-    flat = np.empty(2 * n1 * n2)
-    ext = (flat.reshape(2 * n1, n2), flat.reshape(n1, 2 * n2))
-    cflat = np.empty(max((n1 + 1) * n2, n1 * (n2 + 1)), dtype=complex)
-    spec = (cflat[: (n1 + 1) * n2].reshape(n1 + 1, n2), cflat[: n1 * (n2 + 1)].reshape(n1, n2 + 1))
+    ext = np.empty((n1, n2))
+    cflat = np.empty(max((n1 // 2 + 1) * n2, n1 * (n2 // 2 + 1)), dtype=complex)
+    spec = (cflat[: (n1 // 2 + 1) * n2].reshape(-1, n2), cflat[: n1 * (n2 // 2 + 1)].reshape(n1, -1))
 
     def apply(r: np.ndarray) -> np.ndarray:
         z = np.zeros_like(r)
         block = z[1:, 1:]
         block[...] = r[1:, 1:]
-        _cosine(block, 0, ext[0], spec[0], tw1)
-        _cosine(block, 1, ext[1], spec[1], tw2)
-        den = ext[0][:n1]
-        np.add(lam1, lam2, out=den)
-        den[0, 0] = math.inf  # the constant mode maps to zero
-        block /= den
-        _cosine_inverse(block, 1, ext[1], spec[1], twc2)
-        _cosine_inverse(block, 0, ext[0], spec[0], twc1)
+        _cosine(block, 0, ext, spec[0], tw1)
+        _cosine(block, 1, ext, spec[1], tw2)
+        np.add(lam1, lam2, out=ext)
+        ext[0, 0] = math.inf  # the constant mode maps to zero
+        block /= ext
+        _cosine_inverse(block, 1, ext, spec[1], twc2)
+        _cosine_inverse(block, 0, ext, spec[0], twc1)
         return z
 
     return apply
@@ -339,8 +351,8 @@ def pressure_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:
     b[...] = r[:, :-1]
     b[:-1, -1] += r[:-1, -1]  # each leaf's equation, folded into its neighbour's
     tw, twc = _twiddles(n2 - 1)
-    ext = np.empty((b.shape[0], 2 * (n2 - 1)))
-    spec = np.empty((b.shape[0], n2), dtype=complex)
+    ext = np.empty(b.shape)
+    spec = np.empty((b.shape[0], (n2 - 1) // 2 + 1), dtype=complex)
     _cosine(b, 1, ext, spec, tw)
     _eliminate(b, f)
     _cosine_inverse(b, 1, ext, spec, twc)
