@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -207,11 +209,27 @@ def write_pressure_csv(path: Path, p: PressureField) -> None:
     _write_csv(path, ["i1", "i2", "x1", "x2", "p"], _node_rows(p.grid, [p.p], 1))
 
 
+# Thread-count variables of the BLAS libraries numpy may be built against.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _environment() -> dict:
+    """What a run's timings depend on: python, numpy, core count, BLAS thread settings (None when unset)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, conf: dict, extra: dict, started: float) -> None:
     manifest = {
         "command": command,
         "config": {k: conf[k] for k in sorted(conf)},
         "duration_seconds": time.perf_counter() - started,
+        "environment": _environment(),
         **extra,
     }
     with open(out_dir / "manifest.json", "w") as handle:

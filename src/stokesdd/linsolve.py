@@ -1,5 +1,9 @@
 """Conjugate gradient for selfadjoint systems; in the schemes, the monolithic
-pressure solve (every other implicit stage is solved directly).
+pressure solve (every other implicit stage is solved directly).  That solve
+runs in the orthonormal cosine basis of its Neumann preconditioner
+(transforms.cosine_pressure_system), with the same preconditioner and, up
+to rounding, the same iterations as in physical space; its unknowns are the
+n1*n2 pressure nodes.
 
 Zero initial guess, fixed-order reductions, so repeated solves of the same
 system give bitwise-identical results.  An optional preconditioner turns the
@@ -30,7 +34,7 @@ class SolveConfig:
 
     Convergence requires the residual norm to fall below
     max(rel_tol * initial residual, abs_tol).  max_iter of None means ten
-    times the unknown count.
+    times the unknown count: 10*n1*n2 for the monolithic pressure solve.
     """
 
     rel_tol: float = 1e-10

@@ -76,13 +76,30 @@ class MaskOperator:
 #    shared by the field-level operations and the solver hot loops
 
 def _viscous_raw(x: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:
-    out = np.zeros_like(x)
-    c1 = nu / grid.h1**2
-    c2 = nu / grid.h2**2
-    inner = x[:, 1:-1, 1:-1]
-    out[:, 1:-1, 1:-1] = c1 * (2.0 * inner - x[:, 2:, 1:-1] - x[:, :-2, 1:-1]) + c2 * (
-        2.0 * inner - x[:, 1:-1, 2:] - x[:, 1:-1, :-2]
-    )
+    """The five-point stencil on contiguous shifted slices of each flattened component.
+
+    Rows 1..n1-1 of a component are one contiguous run of the flat array,
+    and its x1 and x2 neighbours are the runs shifted by n2+1 and by 1.  The
+    two boundary columns get wrapped-around values and are zeroed after.
+    The operations and their order are those of the stencil written with
+    2-D slices, so the result is bit-identical to it (the tests keep that
+    form as the reference), with one temporary.
+    """
+    n1, w = grid.n1, grid.n2 + 1
+    out = np.zeros(x.shape)
+    flat = x.reshape(len(x), -1)
+    inner = flat[:, w : n1 * w]
+    o = out.reshape(len(x), -1)[:, w : n1 * w]
+    np.multiply(inner, 2.0, out=o)
+    o -= flat[:, 2 * w :]
+    o -= flat[:, : (n1 - 1) * w]
+    o *= nu / grid.h1**2
+    across = inner * 2.0
+    across -= flat[:, w + 1 : n1 * w + 1]
+    across -= flat[:, w - 1 : n1 * w - 1]
+    across *= nu / grid.h2**2
+    o += across
+    out[:, 1:-1, 0] = out[:, 1:-1, -1] = 0.0
     return out
 
 

@@ -41,7 +41,15 @@ from .operators import (
     spectral_lower_bound,
 )
 from .partition import Partition, build_strips, decompose, recompose
-from .transforms import _pressure_range, dirichlet_solve, neumann_preconditioner, pressure_solve, sweep_solve
+from .transforms import (
+    _pressure_range,
+    cosine_pressure_system,
+    dirichlet_solve,
+    from_cosine_basis,
+    pressure_solve,
+    sweep_solve,
+    to_cosine_basis,
+)
 
 
 # Even tiny grids take about a millisecond per step, so this many steps is
@@ -199,20 +207,26 @@ def pressure_projection(
     """Project onto discretely divergence-free fields.
 
     Solves the pressure Poisson system built from the divergence of the
-    gradient by CG preconditioned with the Neumann Laplacian (a 2-D cosine
-    transform), then corrects u_star by tau times the pressure gradient.
-    The iterates are kept in the range of the system, so the pressure is
-    fixed in a gauge: the corner node (n1, n2), which no gradient reads, is
-    pinned at zero, and the mean over the pressure nodes is zero.
+    gradient by CG preconditioned with the Neumann Laplacian, then corrects
+    u_star by tau times the pressure gradient.  The CG runs in the
+    orthonormal cosine (DCT-II) basis that diagonalizes the preconditioner,
+    where the system is that diagonal minus two rank-one boundary terms
+    (transforms.cosine_pressure_system): the right-hand side is transformed
+    once and the solution once back, with no transform inside the
+    iteration.  Iterations and residuals are those of the same PCG in
+    physical space up to rounding, which on strongly stretched cells can
+    cost a few iterations more; the unknowns, and so the default max_iter,
+    are the n1*n2 pressure nodes.  The iterates are kept in the range of the
+    system, so the pressure is fixed in a gauge: the corner node (n1, n2),
+    which no gradient reads, is pinned at exactly zero, and the mean over
+    the pressure nodes is zero.
     """
     grid = u_star.grid
-
-    def system(q: np.ndarray) -> np.ndarray:
-        return -_divergence_raw(_gradient_raw(q, grid), grid)
-
-    rhs = -(1.0 / tau) * _divergence_raw(u_star.data, grid)
-    parr, rep = cg_solve(system, rhs, solver, project=_pressure_range, precondition=neumann_preconditioner(grid))
+    rhs = to_cosine_basis(-(1.0 / tau) * _divergence_raw(u_star.data, grid), grid)
+    apply, precondition, project = cosine_pressure_system(grid)
+    coef, rep = cg_solve(apply, rhs, solver, project=project, precondition=precondition)
     _tally(status, rep, "pressure solve")
+    parr = _pressure_range(from_cosine_basis(coef, grid))
     xnew = u_star.data - tau * _gradient_raw(parr, grid)
     return VelocityField.wrap(grid, xnew), PressureField(grid, parr)
 

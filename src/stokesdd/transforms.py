@@ -9,7 +9,11 @@ Hockney 1965):
   along each axis, which gives a direct solve;
 * the Neumann Laplacian on the pressure nodes is diagonalized by a cosine
   transform (DCT-II) along each axis; it is close to -div grad and serves as
-  the preconditioner of the monolithic pressure solve;
+  the preconditioner of the monolithic pressure solve, whose PCG runs in the
+  orthonormal cosine basis: there the preconditioner is a diagonal and
+  -div grad is that diagonal minus two boundary rank-one terms, so the
+  right-hand side is transformed once and the solution once back, with no
+  transform inside the iteration;
 * a strip's systems are separable, because its mask depends on i1 alone: a
   transform along x2 (DST-I for the sweep system, DCT-II for the masked
   pressure system) leaves one tridiagonal system in i1 per mode, which one
@@ -20,8 +24,8 @@ Each transform is one ``numpy.fft.rfft`` along one axis, written into work
 arrays that the caller reuses: of the odd extension of the data (length 2n)
 for the DST-I, and of the data reordered, even-index entries first and then
 the odd-index ones reversed (length n), for the DCT-II (Makhoul 1980).  The
-eigenvalue tables are 1-D per axis, built on first use and cached; the 2-D
-denominator is formed inside a work array when it is needed.
+eigenvalue and basis tables are 1-D per axis, built on first use and cached;
+2-D denominators are formed when they are needed, never cached.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def dirichlet_solve(rhs: np.ndarray, grid: GridSpec, nu: float, tau: float) -> n
     return x
 
 
-# -- pressure system: cosine transform, Neumann preconditioner
+# -- pressure system: cosine transform, Neumann preconditioner, PCG in the cosine basis
 
 @lru_cache(maxsize=16)
 def _cosine_tables(grid: GridSpec) -> tuple[np.ndarray, ...]:
@@ -160,21 +164,31 @@ def _cosine_inverse(b: np.ndarray, axis: int, ext: np.ndarray, spec: np.ndarray,
     b[_along(axis, slice(1, None, 2))] = ext[_along(axis, slice(h, None))][_along(axis, slice(None, None, -1))]
 
 
+def _cosine_work(n1: int, n2: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Work arrays of a 2-D DCT-II pair on an (n1, n2) block.
+
+    One real (n1, n2) array, and one complex array of
+    max((n1//2+1) n2, n1 (n2//2+1)) entries viewed as the spectrum along
+    axis 0 and along axis 1.
+    """
+    cflat = np.empty(max((n1 // 2 + 1) * n2, n1 * (n2 // 2 + 1)), dtype=complex)
+    return np.empty((n1, n2)), (cflat[: (n1 // 2 + 1) * n2].reshape(-1, n2), cflat[: n1 * (n2 // 2 + 1)].reshape(n1, -1))
+
+
 def neumann_preconditioner(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
     """Pseudo-inverse of the five-point Neumann Laplacian on the pressure nodes.
 
-    The returned callable maps a pressure array (n1+1, n2+1) to a new one,
-    acting on the pressure block [1:, 1:] and leaving row and column 0 at
-    zero.  Its constant mode maps to zero.  The work arrays are allocated
-    here, once per solve, and reused by every application: one real
-    (n1, n2) array, which also holds the denominator, and one complex array
-    of max((n1//2+1) n2, n1 (n2//2+1)) entries.
+    This is the physical-space form of the preconditioner that the
+    monolithic pressure solve applies as a diagonal in the cosine basis (see
+    cosine_pressure_system); the tests compare against it.  The returned
+    callable maps a pressure array (n1+1, n2+1) to a new one, acting on the
+    pressure block [1:, 1:] and leaving row and column 0 at zero.  Its
+    constant mode maps to zero.  The work arrays of _cosine_work are
+    allocated here and reused by every application; the real one also holds
+    the denominator.
     """
-    n1, n2 = grid.n1, grid.n2
     lam1, tw1, twc1, lam2, tw2, twc2 = _cosine_tables(grid)
-    ext = np.empty((n1, n2))
-    cflat = np.empty(max((n1 // 2 + 1) * n2, n1 * (n2 // 2 + 1)), dtype=complex)
-    spec = (cflat[: (n1 // 2 + 1) * n2].reshape(-1, n2), cflat[: n1 * (n2 // 2 + 1)].reshape(n1, -1))
+    ext, spec = _cosine_work(grid.n1, grid.n2)
 
     def apply(r: np.ndarray) -> np.ndarray:
         z = np.zeros_like(r)
@@ -190,6 +204,121 @@ def neumann_preconditioner(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]
         return z
 
     return apply
+
+
+@lru_cache(maxsize=16)
+def _cosine_basis(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Per axis: orthonormal scales s, last-node values q and Neumann eigenvalues lam, n entries each.
+
+    Mode k of the orthonormal DCT-II basis on n nodes is
+    s_k cos(pi k (2j+1) / (2n)) on node j, with s_0 = sqrt(1/n) and
+    s_k = sqrt(2/n) otherwise; q_k is its value on the last node, j = n-1.
+    """
+    out = []
+    for n, h in ((grid.n1, grid.h1), (grid.n2, grid.h2)):
+        s = np.full(n, math.sqrt(2.0 / n))
+        s[0] = math.sqrt(1.0 / n)
+        q = s * np.cos(0.5 * math.pi * np.arange(n) * (2 * n - 1) / n)
+        out += [s, q, _second_difference(n, h)[:n]]
+    for table in out:
+        table.flags.writeable = False  # shared by every caller through the cache
+    return tuple(out)
+
+
+def to_cosine_basis(p: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Coefficients Q1 P Q2^T of the pressure block P = p[1:, 1:] in the orthonormal DCT-II basis.
+
+    Returns a new (n1, n2) array; ``p`` is not changed.
+    """
+    s1, _, _, s2, _, _ = _cosine_basis(grid)
+    _, tw1, _, _, tw2, _ = _cosine_tables(grid)
+    y = p[1:, 1:].copy()
+    ext, spec = _cosine_work(grid.n1, grid.n2)
+    _cosine(y, 0, ext, spec[0], tw1)
+    _cosine(y, 1, ext, spec[1], tw2)
+    y *= s1[:, None]
+    y *= s2
+    return y
+
+
+def from_cosine_basis(y: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Pressure array (n1+1, n2+1) with block Q1^T Y Q2 and zero row and column 0; the inverse of to_cosine_basis."""
+    s1, _, _, s2, _, _ = _cosine_basis(grid)
+    _, _, twc1, _, _, twc2 = _cosine_tables(grid)
+    p = np.zeros(grid.shape)
+    block = p[1:, 1:]
+    np.divide(y, s1[:, None], out=block)
+    block /= s2
+    ext, spec = _cosine_work(grid.n1, grid.n2)
+    _cosine_inverse(block, 1, ext, spec[1], twc2)
+    _cosine_inverse(block, 0, ext, spec[0], twc1)
+    return p
+
+
+def cosine_pressure_system(grid: GridSpec) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
+    """-div grad, its Neumann preconditioner and its range projection in the orthonormal cosine basis.
+
+    Returns (apply, precondition, project) for cg_solve on (n1, n2)
+    coefficient arrays Y = Q1 P Q2^T.  On the pressure block,
+    -div grad = L1 (x) (I - e e^T) + (I - e e^T) (x) L2: the Neumann
+    Laplacian without the x1 edges of the last pressure column and the x2
+    edges of the last pressure row (e the last node).  Q_a L_a Q_a^T is the
+    diagonal lam_a, so with q_a = Q_a e
+
+    * apply is Y -> (lam1 + lam2) Y - lam1 (Y q2) q2^T - q1 (q1^T Y) lam2^T,
+      elementwise products and one rank-two update;
+    * precondition is Y -> Y / (lam1 + lam2), zero on mode (0, 0): the
+      Neumann preconditioner, which is diagonal here;
+    * project is the orthogonal projection onto the range, the complement
+      of span{e00, q1 q2^T} (the constants and the corner delta), in place.
+
+    The transform is orthogonal, so the iteration is the physical-space one
+    in exact arithmetic.  In floating point the diagonal and the rank-two
+    terms cancel only to rounding, so apply also projects its output: the
+    residual would otherwise drift into the kernel, along the corner delta
+    that the physical stencil leaves exactly zero.  Each rank-two update is
+    one (n1, 2) by (2, n2) matrix product, much faster than two outer
+    products.  The diagonal, its inverse and the factors of the updates are
+    built here, once per solve.
+    """
+    _, q1, lam1, _, q2, lam2 = _cosine_basis(grid)
+    den = lam1[:, None] + lam2
+    den[0, 0] = math.inf
+    inv = 1.0 / den
+    den[0, 0] = 0.0
+    size = grid.n1 * grid.n2
+    root = math.sqrt(size)
+    # factors of the rank-two updates, their fixed columns and rows set once
+    kernel_left = np.zeros((grid.n1, 2))
+    kernel_left[:, 0] = q1
+    kernel_left[0, 1] = 1.0
+    kernel_right = np.zeros((2, grid.n2))
+    edge_left = np.empty((grid.n1, 2))
+    edge_left[:, 1] = q1
+    edge_right = np.empty((2, grid.n2))
+    edge_right[0] = q2
+
+    def project(y: np.ndarray) -> np.ndarray:
+        # remove the corner delta u = q1 q2^T, then the constant on the other
+        # nodes, root e00 - u, whose norm squared is size - 1
+        a = float(q1 @ y @ q2)
+        beta = (root * y[0, 0] - a) / (size - 1)
+        np.multiply(q2, a - beta, out=kernel_right[0])
+        kernel_right[1, 0] = root * beta
+        y -= kernel_left @ kernel_right
+        return y
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        out = den * y
+        np.multiply(y @ q2, lam1, out=edge_left[:, 0])
+        np.multiply(q1 @ y, lam2, out=edge_right[1])
+        out -= edge_left @ edge_right
+        return project(out)
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        return inv * r
+
+    return apply, precondition, project
 
 
 def _pressure_range(arr: np.ndarray) -> np.ndarray:
