@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import platform
 import sys
@@ -121,12 +122,18 @@ def _solver_of(conf: dict) -> SolveConfig:
     return SolveConfig(
         rel_tol=conf["rel_tol"],
         abs_tol=conf["abs_tol"],
-        max_iter=conf["max_iter"] if conf["max_iter"] > 0 else None,
+        max_iter=conf["max_iter"] if conf["max_iter"] != 0 else None,
     )
 
 
 def _case_of(conf: dict) -> ManufacturedCase:
     return ManufacturedCase(amplitude=conf["amplitude"], decay=conf["decay"], nu=conf["nu"])
+
+
+def _check_seed(conf: dict) -> None:
+    """PCG64 takes non-negative seeds only."""
+    if conf["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {conf['seed']}")
 
 
 def build_scheme_config(conf: dict) -> SchemeConfig:
@@ -139,6 +146,10 @@ def build_scheme_config(conf: dict) -> SchemeConfig:
     nodes = (grid.n1 + 1) * (grid.n2 + 1)
     if nodes > MAX_NODES:
         raise ConfigError(f"grid has {nodes} nodes, more than the limit {MAX_NODES}")
+    _check_seed(conf)
+    for key in ("amplitude", "decay"):
+        if not math.isfinite(conf[key]):
+            raise ConfigError(f"{key} must be finite, got {conf[key]!r}")
     case = _case_of(conf)
     if conf["initial"] == "zero":
         v = VelocityField.zeros(grid)
@@ -188,25 +199,29 @@ def write_steps_csv(path: Path, reports) -> None:
     _write_csv(path, header, ([_fmt(getattr(rep, key)) for key in header] for rep in reports))
 
 
-def _node_rows(grid: GridSpec, columns: list[np.ndarray], first: int):
-    """One row (i1, i2, x1, x2, *values) per node with i1, i2 >= first.
+def _write_nodes(path: Path, header: list[str], grid: GridSpec, columns: list[np.ndarray], first: int) -> None:
+    """One row (i1, i2, x1, x2, *values) per node with i1, i2 >= first, i1
+    outer, in the bytes the csv module writes (no field needs quoting).
 
-    Each i1 line of every column becomes python floats on its own, so no
-    full-grid list is ever built."""
+    Each i1 line is one string and one write: the x2 text is made once per
+    file, the i1 and x1 text once per line, and per node only i2 and the
+    values, as python floats through repr.  No full-grid list is ever built."""
     i2s = range(first, grid.n2 + 1)
-    x2s = [i2 * grid.h2 for i2 in i2s]
-    for i1 in range(first, grid.n1 + 1):
-        x1 = i1 * grid.h1
-        for i2, x2, *values in zip(i2s, x2s, *(c[i1, first:].tolist() for c in columns)):
-            yield (i1, i2, x1, x2, *values)
+    x2s = [_fmt(i2 * grid.h2) for i2 in i2s]
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for i1 in range(first, grid.n1 + 1):
+            i1_text, x1_text = f"{i1},", f",{_fmt(i1 * grid.h1)},"
+            values = map(",".join, zip(*(map(repr, c[i1, first:].tolist()) for c in columns)))
+            handle.write("".join(f"{i1_text}{i2}{x1_text}{x2},{v}\r\n" for i2, x2, v in zip(i2s, x2s, values)))
 
 
 def write_velocity_csv(path: Path, u: VelocityField) -> None:
-    _write_csv(path, ["i1", "i2", "x1", "x2", "u1", "u2"], _node_rows(u.grid, [u.u1, u.u2], 0))
+    _write_nodes(path, ["i1", "i2", "x1", "x2", "u1", "u2"], u.grid, [u.u1, u.u2], 0)
 
 
 def write_pressure_csv(path: Path, p: PressureField) -> None:
-    _write_csv(path, ["i1", "i2", "x1", "x2", "p"], _node_rows(p.grid, [p.p], 1))
+    _write_nodes(path, ["i1", "i2", "x1", "x2", "p"], p.grid, [p.p], 1)
 
 
 # Thread-count variables of the BLAS libraries numpy may be built against.
@@ -275,12 +290,13 @@ def cmd_run(conf: dict) -> int:
         "grid": {"l1": cfg.grid.l1, "l2": cfg.grid.l2, "n1": cfg.grid.n1, "n2": cfg.grid.n2},
         "tau_effective": cfg.tau,
         "n_steps": cfg.n_steps,
+        "steps_completed": len(result.reports),
         "outputs": outputs,
         "monitors": monitors,
     }
     _write_manifest(out_dir, "run", conf, extra, started)
     ok = monitors["completed"] and monitors["stability_passed"]
-    print(f"run: {cfg.n_steps} steps, monitors {'pass' if ok else 'FAIL'}")
+    print(f"run: {len(result.reports)} of {cfg.n_steps} steps, monitors {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -383,6 +399,7 @@ def cmd_stability(conf: dict) -> int:
 
 
 def cmd_verify(conf: dict) -> int:
+    _check_seed(conf)
     results = verification_checks(seed=conf["seed"])
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")

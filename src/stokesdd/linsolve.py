@@ -35,11 +35,21 @@ class SolveConfig:
     Convergence requires the residual norm to fall below
     max(rel_tol * initial residual, abs_tol).  max_iter of None means ten
     times the unknown count: 10*n1*n2 for the monolithic pressure solve.
+    Tolerances must be finite and non-negative (zero is allowed) and max_iter
+    at least 1; a NaN tolerance would make every solve run to max_iter.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_iter: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)

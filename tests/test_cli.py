@@ -140,6 +140,19 @@ def test_run_starved_solver_exit_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("max_iter, done", [("1", 0), ("0", 3)])
+def test_run_reports_the_steps_it_completed(tmp_path, capsys, max_iter, done):
+    out = tmp_path / "out"
+    rc = main([
+        "run", "--n1", "8", "--n2", "8", "--tau", "0.1", "--t_final", "0.3",
+        "--max_iter", max_iter, "--rel_tol", "1e-14", "--out_dir", str(out),
+    ])
+    assert rc == (0 if done == 3 else 1)
+    assert f"run: {done} of 3 steps, monitors {'pass' if done == 3 else 'FAIL'}" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["steps_completed"] == done and manifest["n_steps"] == 3
+
+
 def test_stability_smoke(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main([

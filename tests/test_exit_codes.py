@@ -10,6 +10,12 @@ REJECTED = [
     ["--scheme", "decomposed", "--m", "0"],
     ["--scheme", "decomposed", "--n1", "8", "--overlap", "9"],
     ["--n1", "1"],
+    ["--seed", "-1", "--initial", "random"],
+    ["--amplitude", "nan"],
+    ["--decay", "inf"],
+    ["--rel_tol", "nan"],
+    ["--abs_tol", "-1"],
+    ["--max_iter", "-1"],
 ]
 
 

@@ -137,3 +137,18 @@ def test_rhs_not_mutated():
     keep = rhs.copy()
     cg_solve(lambda v: mat @ v, rhs, SolveConfig(), project=lambda a: np.subtract(a, a.mean(), out=a))
     assert np.array_equal(rhs, keep)
+
+
+@pytest.mark.parametrize("bad", [
+    {"rel_tol": float("nan")}, {"rel_tol": float("inf")}, {"rel_tol": -1e-12},
+    {"abs_tol": float("nan")}, {"abs_tol": -1.0}, {"max_iter": 0}, {"max_iter": -3},
+])
+def test_solve_config_rejects_tolerances_that_cannot_stop_a_solve(bad):
+    with pytest.raises(ValueError):
+        SolveConfig(**bad)
+
+
+def test_solve_config_accepts_zero_tolerances():
+    cfg = SolveConfig(rel_tol=0.0, abs_tol=0.0, max_iter=1)
+    _, rep = cg_solve(lambda v: v, np.ones(3), cfg)
+    assert rep.iterations == 1
