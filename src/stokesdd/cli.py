@@ -41,9 +41,11 @@ class ConfigError(ValueError):
     """Unknown keys, unparsable values, or infeasible settings."""
 
 
-# A run holds about 200 bytes per node (monolithic; 350 with four strips, more
-# with more), so this grid already needs a gigabyte or more; larger grids are
-# rejected before any field is allocated.
+# A one-step 401x401 run holds about 150 bytes per node monolithic, 205
+# decomposed at m=1 and 475 at m=4 (ru_maxrss of a child process, less that of
+# one that only imports stokesdd): the decomposed state is m-fold, about 90
+# bytes per node per strip.  So this grid needs 0.6 GB or more; larger grids
+# are rejected before any field is allocated.
 MAX_NODES = 4_000_000
 
 # key -> (parser, default); the CLI exposes each key as --key
@@ -379,6 +381,10 @@ def cmd_stability(conf: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     taus = _list(conf["taus"], float, "taus")
+    if not taus:
+        raise ConfigError("stability needs a non-empty taus list")
+    if conf["steps"] < 1:
+        raise ConfigError(f"steps must be at least 1, got {conf['steps']}")
     cfgs = [
         build_scheme_config(dict(conf, initial="random", forcing="none", tau=tau, t_final=tau * conf["steps"]))
         for tau in taus

@@ -15,9 +15,10 @@ use plain array slices; entries outside a field's node set are kept at zero.
 
 A velocity is one array of shape (2, n1+1, n2+1), component first; the
 stencil kernels and the solvers work on that array directly, and ``u1`` and
-``u2`` are views into it.  The dense assembly path in ``operators`` does not
-use this layout: it flattens fields into its own canonical vectors, so it
-stays an independent check on the stencil path.
+``u2`` are views into it.  A decomposed velocity stacks one such array per
+strip into an (m, 2, n1+1, n2+1) array.  The dense assembly path in
+``operators`` does not use this layout: it flattens fields into its own
+canonical vectors, so it stays an independent check on the stencil path.
 
 Inner products integrate with the cell weight h1*h2 over the owning node set.
 """
@@ -169,31 +170,37 @@ class PressureField:
         return PressureField(self.grid, self.p)
 
 
-@dataclass
 class DecomposedVelocity:
-    """Tuple of per-subdomain velocity fields over a common grid."""
+    """Per-strip velocities stacked in one (m, 2, n1+1, n2+1) array, zero on the boundary.
 
-    components: list[VelocityField]
+    ``components[a]`` is a VelocityField view of strip a's velocity ``data[a]``.
+    The list constructor stacks (copies) its fields; ``wrap`` adopts a stacked array.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise ValueError("need at least one component")
-        grid = self.components[0].grid
-        for comp in self.components[1:]:
-            if comp.grid != grid:
-                raise GridMismatchError("components live on different grids")
-        self.components = list(self.components)
+    def __init__(self, components: list[VelocityField]) -> None:
+        if not components or any(comp.grid != components[0].grid for comp in components):
+            raise GridMismatchError("need one or more components, all on one grid")
+        self._adopt(components[0].grid, np.stack([comp.data for comp in components]))
+
+    @classmethod
+    def wrap(cls, grid: GridSpec, data: np.ndarray) -> "DecomposedVelocity":
+        """Adopt a stacked (m, 2, n1+1, n2+1) float array, m >= 1, without copying; its boundary is zeroed in place."""
+        if data.ndim != 4 or not len(data) or data.shape[1:] != (2,) + grid.shape:
+            raise GridMismatchError(f"array shape {data.shape} does not match grid (m, 2) + {grid.shape}")
+        state = cls.__new__(cls)
+        state._adopt(grid, data)
+        return state
+
+    def _adopt(self, grid: GridSpec, data: np.ndarray) -> None:
+        self.grid, self.data = grid, data
+        self.components = [VelocityField.wrap(grid, comp) for comp in data]  # each view zeroes its boundary
 
     @property
     def m(self) -> int:
-        return len(self.components)
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.components[0].grid
+        return len(self.data)
 
     def copy(self) -> "DecomposedVelocity":
-        return DecomposedVelocity([c.copy() for c in self.components])
+        return DecomposedVelocity.wrap(self.grid, self.data.copy())
 
 
 def _require_same_grid(a, b) -> None:

@@ -174,11 +174,11 @@ def apply_coupling(masks: Sequence[MaskOperator], op: ViscousOperator, U: Decomp
     if len(masks) != U.m:
         raise GridMismatchError(f"{len(masks)} masks for {U.m} components")
     grid = U.grid
+    etas = np.stack([chi.eta for chi in masks])[:, None]
     w = np.zeros((2,) + grid.shape)
-    for chi, comp in zip(masks, U.components):
-        w += chi.eta * comp.data
-    aw = _viscous_raw(w, grid, op.nu)
-    return DecomposedVelocity([VelocityField.wrap(grid, chi.eta * aw) for chi in masks])
+    for eta, x in zip(etas, U.data):
+        w += eta * x
+    return DecomposedVelocity.wrap(grid, etas * _viscous_raw(w, grid, op.nu))
 
 
 def _coupling_triangle(
@@ -193,14 +193,14 @@ def _coupling_triangle(
     if len(masks) != U.m:
         raise GridMismatchError(f"{len(masks)} masks for {U.m} components")
     grid = U.grid
-    rows = [None] * U.m
+    rows = np.empty_like(U.data)
     before = np.zeros((2,) + grid.shape)
     for a in order:
         eta = masks[a].eta
-        own = eta * U.components[a].data
-        rows[a] = VelocityField.wrap(grid, eta * _viscous_raw(before + 0.5 * own, grid, op.nu))
+        own = eta * U.data[a]
+        np.multiply(eta, _viscous_raw(before + 0.5 * own, grid, op.nu), out=rows[a])
         before += own
-    return DecomposedVelocity(rows)
+    return DecomposedVelocity.wrap(grid, rows)
 
 
 def apply_coupling_lower(masks: Sequence[MaskOperator], op: ViscousOperator, U: DecomposedVelocity) -> DecomposedVelocity:
@@ -221,12 +221,7 @@ def velocity_to_vector(u: VelocityField) -> np.ndarray:
 
 
 def vector_to_velocity(grid: GridSpec, vec: np.ndarray) -> VelocityField:
-    m = grid.num_interior
-    if vec.shape != (2 * m,):
-        raise GridMismatchError(f"expected vector of length {2 * m}, got {vec.shape}")
-    u = VelocityField.zeros(grid)
-    u.data[:, 1:-1, 1:-1] = vec.reshape((2, grid.n1 - 1, grid.n2 - 1))
-    return u
+    return vector_to_decomposed(grid, 1, vec).components[0]
 
 
 def pressure_to_vector(p: PressureField) -> np.ndarray:
@@ -243,14 +238,16 @@ def vector_to_pressure(grid: GridSpec, vec: np.ndarray) -> PressureField:
 
 
 def decomposed_to_vector(U: DecomposedVelocity) -> np.ndarray:
-    return np.concatenate([velocity_to_vector(c) for c in U.components])
+    return U.data[:, :, 1:-1, 1:-1].flatten()
 
 
 def vector_to_decomposed(grid: GridSpec, m: int, vec: np.ndarray) -> DecomposedVelocity:
     size = 2 * grid.num_interior
     if vec.shape != (m * size,):
         raise GridMismatchError(f"expected vector of length {m * size}, got {vec.shape}")
-    return DecomposedVelocity([vector_to_velocity(grid, vec[a * size : (a + 1) * size]) for a in range(m)])
+    data = np.zeros((m, 2) + grid.shape)
+    data[:, :, 1:-1, 1:-1] = vec.reshape((m, 2, grid.n1 - 1, grid.n2 - 1))
+    return DecomposedVelocity.wrap(grid, data)
 
 
 # -- dense assembly

@@ -1,4 +1,4 @@
-"""Overlapping strip decomposition of the grid with normalized masks.
+"""Overlapping strip decomposition of the grid with normalized weights.
 
 The domain is cut into m vertical strips along direction 1.  Each strip gets
 a nodal weight eta_a >= 0 supported on the strip; the squares of the weights
@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import DecomposedVelocity, GridMismatchError, GridSpec, VelocityField
-from .operators import MaskOperator, apply_mask
+from .operators import MaskOperator
 from .transforms import StripFactors, pressure_factors, sweep_factors
 
 
@@ -25,35 +25,42 @@ class InvalidPartitionError(ValueError):
 
 @dataclass
 class Partition:
-    """Strip decomposition: masks plus the node extent of each strip.
+    """Strip decomposition: the strip weights plus the node extent of each strip.
 
-    It also keeps the factors of the strip solves, built on first use: the
-    sweep factors per (nu, tau), the pressure factors once.
+    Every weight depends on i1 alone, so ``eta`` holds them as one
+    (m, n1+1, 1) table that broadcasts against a field.  It also keeps the
+    factors of the strip solves, built on first use: the sweep factors per
+    (nu, tau), the pressure factors once.
     """
 
     grid: GridSpec
-    masks: list[MaskOperator]
+    eta: np.ndarray
     extents: list[tuple[int, int]]
     overlap: int
     _sweep: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
-        return len(self.masks)
+        return len(self.eta)
+
+    @cached_property
+    def masks(self) -> list[MaskOperator]:
+        """The weights as full-grid mask operators, for the dense path and the apply_* operators."""
+        return [MaskOperator(self.grid, np.broadcast_to(eta, self.grid.shape)) for eta in self.eta]
 
     def sweep_factors(self, nu: float, tau: float) -> list[StripFactors]:
         """Per-strip factors of the sweep systems E + (tau/2) eta A eta."""
         key = (nu, tau)
         if key not in self._sweep:
             self._sweep[key] = [
-                sweep_factors(self.grid, chi.eta[:, 0], ext, nu, tau) for chi, ext in zip(self.masks, self.extents)
+                sweep_factors(self.grid, eta[:, 0], ext, nu, tau) for eta, ext in zip(self.eta, self.extents)
             ]
         return self._sweep[key]
 
     @cached_property
     def pressure_factors(self) -> list[StripFactors]:
         """Per-strip factors of the pressure systems -div(eta^2 grad)."""
-        return [pressure_factors(self.grid, chi.eta[:, 0], ext) for chi, ext in zip(self.masks, self.extents)]
+        return [pressure_factors(self.grid, eta[:, 0], ext) for eta, ext in zip(self.eta, self.extents)]
 
 
 def build_strips(grid: GridSpec, m: int, overlap: int) -> Partition:
@@ -69,7 +76,7 @@ def build_strips(grid: GridSpec, m: int, overlap: int) -> Partition:
         the extra node goes to the lower-index strip.
 
     The raw strip weights are piecewise linear ramps that sum to one, equal
-    to one on each strip core; the stored masks are their square roots so
+    to one on each strip core; the stored weights are their square roots so
     the squares sum to one.  Requires floor(n1 / m) > overlap so that only
     adjacent strips overlap; raises InvalidPartitionError otherwise.
     """
@@ -94,41 +101,32 @@ def build_strips(grid: GridSpec, m: int, overlap: int) -> Partition:
     ramp_lo = [cuts[k] - (width + 1) // 2 for k in range(1, m)]
     ramp_hi = [lo + width for lo in ramp_lo]
 
+    # strip a rises on ramp a-1 and falls on ramp a; the outer strips miss one
     nodes = np.arange(grid.n1 + 1, dtype=float)
-    masks: list[MaskOperator] = []
-    extents: list[tuple[int, int]] = []
-    for a in range(m):
-        w = np.ones(grid.n1 + 1)
-        if a > 0:
-            w = np.minimum(w, (nodes - ramp_lo[a - 1]) / width)
-        if a < m - 1:
-            w = np.minimum(w, (ramp_hi[a] - nodes) / width)
-        w = np.clip(w, 0.0, 1.0)
-        eta = np.sqrt(w)[:, None] * np.ones((1, grid.n2 + 1))
-        masks.append(MaskOperator(grid, eta))
-        lo = ramp_lo[a - 1] + 1 if a > 0 else 0
-        hi = ramp_hi[a] - 1 if a < m - 1 else grid.n1
-        extents.append((lo, hi))
-    return Partition(grid=grid, masks=masks, extents=extents, overlap=overlap)
+    rise = (nodes - np.array([-np.inf, *ramp_lo])[:, None]) / width
+    fall = (np.array([*ramp_hi, np.inf])[:, None] - nodes) / width
+    w = np.clip(np.minimum(rise, fall), 0.0, 1.0)
+    extents = list(zip([0, *(lo + 1 for lo in ramp_lo)], [*(hi - 1 for hi in ramp_hi), grid.n1]))
+    return Partition(grid=grid, eta=np.sqrt(w)[:, :, None], extents=extents, overlap=overlap)
 
 
 def decompose(part: Partition, u: VelocityField) -> DecomposedVelocity:
     """Restrict a velocity to every strip: component a is eta_a times u."""
     if part.grid != u.grid:
         raise GridMismatchError("partition and field grids differ")
-    return DecomposedVelocity([apply_mask(chi, u) for chi in part.masks])
+    return DecomposedVelocity.wrap(part.grid, part.eta[:, None] * u.data)
 
 
 def recompose(part: Partition, U: DecomposedVelocity) -> VelocityField:
     """Blend strip components back into one field: sum of eta_a times u_a.
 
-    Inverse of decompose because the squared masks sum to one.
+    Inverse of decompose because the squared weights sum to one.
     """
     if part.grid != U.grid:
         raise GridMismatchError("partition and field grids differ")
     if part.m != U.m:
         raise GridMismatchError(f"{part.m} strips but {U.m} components")
     out = np.zeros((2,) + part.grid.shape)
-    for chi, comp in zip(part.masks, U.components):
-        out += chi.eta * comp.data
+    for eta, x in zip(part.eta, U.data):
+        out += eta * x
     return VelocityField.wrap(part.grid, out)

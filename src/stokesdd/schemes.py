@@ -244,24 +244,26 @@ def _sweep(
     grid = U.grid
     nu = op.nu
     factors = part.sweep_factors(nu, tau)
-    out = [None] * part.m
+    out = np.empty_like(U.data)
     solved = np.zeros((2,) + grid.shape)
     for k, a in enumerate(order):
-        eta = part.masks[a].eta
-        rhs = U.components[a].data
+        eta = part.eta[a]
+        rhs = U.data[a]
         if F_half is not None:
-            rhs = rhs + tau * F_half.components[a].data
+            rhs = rhs + tau * F_half.data[a]
         if k > 0:
             rhs = rhs - tau * eta * _viscous_raw(solved, grid, nu)
-        x = sweep_solve(rhs, factors[a])
-        r = _viscous_raw(eta * x, grid, nu)
+        out[a] = sweep_solve(rhs, factors[a])
+        x = out[a]
+        own = eta * x
+        r = _viscous_raw(own, grid, nu)
         r *= 0.5 * tau * eta
         r += x
         r -= rhs
         _direct(status, r, f"{what}, strip {a}")
-        out[a] = VelocityField.wrap(grid, x)
-        solved += eta * x
-    return DecomposedVelocity(out)
+        solved += own
+        del r, own  # not kept through the next strip's solve, where the step's memory peaks
+    return DecomposedVelocity.wrap(grid, out)
 
 
 def dd_forward_sweep(
@@ -314,32 +316,36 @@ def dd_pressure_substeps(
     node, zero mean over the other box nodes.
     """
     grid = U.grid
-    out: list[VelocityField] = []
+    out = np.empty_like(U.data)
     pressures: list[PressureField] = []
-    for a, (chi, comp, factors) in enumerate(zip(part.masks, U.components, part.pressure_factors)):
-        eta = chi.eta
-        x = comp.data
+    for a, (eta, x, factors) in enumerate(zip(part.eta, U.data, part.pressure_factors)):
         rhs = -(1.0 / tau) * _divergence_raw(eta * x, grid)
         parr = pressure_solve(rhs, factors)
         grad = _gradient_raw(parr, grid)
         r = _divergence_raw(eta * eta * grad, grid)
         r += rhs
         _direct(status, r, f"pressure substep, strip {a}")
-        out.append(VelocityField.wrap(grid, x - tau * eta * grad))
+        del r  # as in _sweep
+        np.subtract(x, tau * eta * grad, out=out[a])
         pressures.append(PressureField(grid, parr))
-    return DecomposedVelocity(out), pressures
+    return DecomposedVelocity.wrap(grid, out), pressures
 
 
 def blend_pressures(part: Partition, pressures: list[PressureField]) -> PressureField:
-    """Mask-weighted blend of the strip pressures.
+    """Weighted blend of the strip pressures: sum of eta_a times p_a.
 
     Diagnostic only: the scheme never uses a single global pressure, this
     just gives one field to look at.
     """
     out = np.zeros(part.grid.shape)
-    for chi, p in zip(part.masks, pressures):
-        out += chi.eta * p.p
+    for eta, p in zip(part.eta, pressures):
+        out += eta * p.p
     return PressureField(part.grid, out)
+
+
+def _strip_divergence(part: Partition, U: DecomposedVelocity) -> float:
+    """Largest norm over the strips of div(eta_a u_a)."""
+    return max(norm_pressure(PressureField(U.grid, _divergence_raw(eta * x, U.grid))) for eta, x in zip(part.eta, U.data))
 
 
 def _report(
@@ -399,17 +405,10 @@ def step_decomposed(
     U_half = dd_backward_sweep(U_quarter, tau, cfg.viscous, part, cfg.solver, status)
     norm_half = norm_decomposed(U_half)
 
-    grid = cfg.grid
-    div_scale = max(
-        norm_pressure(PressureField(grid, _divergence_raw(chi.eta * c.data, grid)))
-        for chi, c in zip(part.masks, U_half.components)
-    )
+    div_scale = _strip_divergence(part, U_half)
     U_new, pressures = dd_pressure_substeps(U_half, tau, part, cfg.solver, status)
     norm_new = norm_decomposed(U_new)
-    div_res = max(
-        norm_pressure(PressureField(grid, _divergence_raw(chi.eta * c.data, grid)))
-        for chi, c in zip(part.masks, U_new.components)
-    )
+    div_res = _strip_divergence(part, U_new)
 
     margin = math.exp(tau) * norm_n**2 + tau * norm_f**2 - norm_new**2
     norms = (norm_n, norm_quarter, norm_half, norm_new)

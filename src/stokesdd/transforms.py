@@ -114,21 +114,6 @@ def dirichlet_solve(rhs: np.ndarray, grid: GridSpec, nu: float, tau: float) -> n
 # -- pressure system: cosine transform, Neumann preconditioner, PCG in the cosine basis
 
 @lru_cache(maxsize=16)
-def _cosine_tables(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Neumann eigenvalues (n entries), DCT-II twiddles and their conjugates (n//2+1 entries), per axis.
-
-    Each is shaped to broadcast along its own axis of the pressure block.
-    """
-    out = []
-    for axis, (n, h) in enumerate(((grid.n1, grid.h1), (grid.n2, grid.h2))):
-        lam = _second_difference(n, h)[:n]
-        tw, twc = _twiddles(n)
-        shape = (-1, 1) if axis == 0 else (1, -1)
-        out += [lam.reshape(shape), tw.reshape(shape), twc.reshape(shape)]
-    return tuple(out)
-
-
-@lru_cache(maxsize=16)
 def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i pi k / (2n)) for k = 0..n//2, the twiddles of a length-n DCT-II, and their conjugates."""
     tw = np.exp(-0.5j * math.pi * np.arange(n // 2 + 1) / n)
@@ -187,20 +172,21 @@ def neumann_preconditioner(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]
     allocated here and reused by every application; the real one also holds
     the denominator.
     """
-    lam1, tw1, twc1, lam2, tw2, twc2 = _cosine_tables(grid)
+    _, _, lam1, _, _, lam2 = _cosine_basis(grid)
+    (tw1, twc1), (tw2, twc2) = _twiddles(grid.n1), _twiddles(grid.n2)
     ext, spec = _cosine_work(grid.n1, grid.n2)
 
     def apply(r: np.ndarray) -> np.ndarray:
         z = np.zeros_like(r)
         block = z[1:, 1:]
         block[...] = r[1:, 1:]
-        _cosine(block, 0, ext, spec[0], tw1)
+        _cosine(block, 0, ext, spec[0], tw1[:, None])
         _cosine(block, 1, ext, spec[1], tw2)
-        np.add(lam1, lam2, out=ext)
+        np.add(lam1[:, None], lam2, out=ext)
         ext[0, 0] = math.inf  # the constant mode maps to zero
         block /= ext
         _cosine_inverse(block, 1, ext, spec[1], twc2)
-        _cosine_inverse(block, 0, ext, spec[0], twc1)
+        _cosine_inverse(block, 0, ext, spec[0], twc1[:, None])
         return z
 
     return apply
@@ -231,11 +217,10 @@ def to_cosine_basis(p: np.ndarray, grid: GridSpec) -> np.ndarray:
     Returns a new (n1, n2) array; ``p`` is not changed.
     """
     s1, _, _, s2, _, _ = _cosine_basis(grid)
-    _, tw1, _, _, tw2, _ = _cosine_tables(grid)
     y = p[1:, 1:].copy()
     ext, spec = _cosine_work(grid.n1, grid.n2)
-    _cosine(y, 0, ext, spec[0], tw1)
-    _cosine(y, 1, ext, spec[1], tw2)
+    _cosine(y, 0, ext, spec[0], _twiddles(grid.n1)[0][:, None])
+    _cosine(y, 1, ext, spec[1], _twiddles(grid.n2)[0])
     y *= s1[:, None]
     y *= s2
     return y
@@ -244,14 +229,13 @@ def to_cosine_basis(p: np.ndarray, grid: GridSpec) -> np.ndarray:
 def from_cosine_basis(y: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Pressure array (n1+1, n2+1) with block Q1^T Y Q2 and zero row and column 0; the inverse of to_cosine_basis."""
     s1, _, _, s2, _, _ = _cosine_basis(grid)
-    _, _, twc1, _, _, twc2 = _cosine_tables(grid)
     p = np.zeros(grid.shape)
     block = p[1:, 1:]
     np.divide(y, s1[:, None], out=block)
     block /= s2
     ext, spec = _cosine_work(grid.n1, grid.n2)
-    _cosine_inverse(block, 1, ext, spec[1], twc2)
-    _cosine_inverse(block, 0, ext, spec[0], twc1)
+    _cosine_inverse(block, 1, ext, spec[1], _twiddles(grid.n2)[1])
+    _cosine_inverse(block, 0, ext, spec[0], _twiddles(grid.n1)[1][:, None])
     return p
 
 

@@ -50,9 +50,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def random_velocity(grid: GridSpec, rng: np.random.Generator, scale: float = 1.0) -> VelocityField:
     """Uniform(-scale, scale) interior values, drawn row-major, u1 then u2."""
-    u = VelocityField.zeros(grid)
-    u.data[:, 1:-1, 1:-1] = rng.uniform(-scale, scale, (2, grid.n1 - 1, grid.n2 - 1))
-    return u
+    return random_decomposed(grid, 1, rng, scale).components[0]
 
 
 def random_pressure(grid: GridSpec, rng: np.random.Generator, scale: float = 1.0) -> PressureField:
@@ -62,7 +60,10 @@ def random_pressure(grid: GridSpec, rng: np.random.Generator, scale: float = 1.0
 
 
 def random_decomposed(grid: GridSpec, m: int, rng: np.random.Generator, scale: float = 1.0) -> DecomposedVelocity:
-    return DecomposedVelocity([random_velocity(grid, rng, scale) for _ in range(m)])
+    """m random velocities, strip after strip, from one draw."""
+    U = np.zeros((m, 2) + grid.shape)
+    U[:, :, 1:-1, 1:-1] = rng.uniform(-scale, scale, (m, 2, grid.n1 - 1, grid.n2 - 1))
+    return DecomposedVelocity.wrap(grid, U)
 
 
 @dataclass(frozen=True)

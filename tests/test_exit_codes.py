@@ -40,3 +40,21 @@ def test_error_inside_a_step_is_not_a_configuration_error(tmp_path, monkeypatch)
     monkeypatch.setattr(schemes, "step_monolithic", broken)
     with pytest.raises(ValueError, match="broken step"):
         main(["run", "--n1", "8", "--n2", "8", "--out_dir", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [(["--taus", ","], "taus"), (["--taus", ""], "taus"), (["--steps", "0"], "steps"), (["--steps", "-1"], "steps")],
+    ids=["taus ,", "taus empty", "steps 0", "steps -1"],
+)
+def test_stability_rejects_an_empty_ladder_and_a_nonpositive_step_count(flags, key, tmp_path, monkeypatch, capsys):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran for a rejected configuration")
+
+    monkeypatch.setattr(schemes, "step_monolithic", no_step)
+    monkeypatch.setattr(schemes, "step_decomposed", no_step)
+    out = tmp_path / "out"
+    assert main(["stability", "--n1", "8", "--n2", "8", *flags, "--out_dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err and "final time" not in err
+    assert not any(out.iterdir())
