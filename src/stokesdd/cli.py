@@ -41,11 +41,10 @@ class ConfigError(ValueError):
     """Unknown keys, unparsable values, or infeasible settings."""
 
 
-# A one-step 401x401 run holds about 150 bytes per node monolithic, 205
-# decomposed at m=1 and 475 at m=4 (ru_maxrss of a child process, less that of
-# one that only imports stokesdd): the decomposed state is m-fold, about 90
-# bytes per node per strip.  So this grid needs 0.6 GB or more; larger grids
-# are rejected before any field is allocated.
+# A one-step 401x401 run holds about 155 bytes per node monolithic, 196 at m=1
+# and 331 at m=4 overlap 2, about 45 more per strip (ru_maxrss of a child
+# process, less that of one that only imports stokesdd).  So this grid needs
+# 0.6 GB or more; larger grids are rejected before any field is allocated.
 MAX_NODES = 4_000_000
 
 # key -> (parser, default); the CLI exposes each key as --key

@@ -126,7 +126,12 @@ def recompose(part: Partition, U: DecomposedVelocity) -> VelocityField:
         raise GridMismatchError("partition and field grids differ")
     if part.m != U.m:
         raise GridMismatchError(f"{part.m} strips but {U.m} components")
-    out = np.zeros((2,) + part.grid.shape)
-    for eta, x in zip(part.eta, U.data):
+    return VelocityField.wrap(part.grid, weighted_sum(part, U.data, (2,) + part.grid.shape))
+
+
+def weighted_sum(part: Partition, xs, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum of eta_a x_a over the strips, accumulated from zero in strip order."""
+    out = np.zeros(shape)
+    for eta, x in zip(part.eta, xs):
         out += eta * x
-    return VelocityField.wrap(part.grid, out)
+    return out

@@ -40,7 +40,7 @@ from .operators import (
     _viscous_raw,
     spectral_lower_bound,
 )
-from .partition import Partition, build_strips, decompose, recompose
+from .partition import Partition, build_strips, decompose, recompose, weighted_sum
 from .transforms import (
     _pressure_range,
     cosine_pressure_system,
@@ -120,9 +120,11 @@ class StepReport:
 
     norm_state is taken before the step, norm_end after it; norm_quarter and
     norm_half are the stage norms (for the monolithic scheme there is a
-    single intermediate stage and both carry its norm).  div_residual is the
-    post-projection divergence norm, div_scale its pre-projection size, and
-    bound_margin the slack left in the per-step energy estimate.
+    single intermediate stage and both carry its norm).  div_scale and
+    div_residual are the divergence norms the projection stages record before
+    and after projecting (for the decomposed scheme the largest over the
+    strips of ||div(eta_a u_a)||), and bound_margin the slack left in the
+    energy estimate: growth norm_state^2 + weight norm_forcing^2 - norm_end^2.
     """
 
     step: int
@@ -148,6 +150,24 @@ class RunResult:
     pressures: list[PressureField] | None
     completed: bool
     message: str = ""
+
+
+def energy_estimate(mode: str, tau: float, nu_delta_h: float | None = None) -> tuple[float, float]:
+    """(growth, weight) of the scheme's per-step bound ||u_end||^2 <= growth ||u_start||^2 + weight ||f||^2."""
+    if mode == "decomposed":
+        return math.exp(tau), tau
+    if mode != "monolithic":
+        raise ValueError(f"unknown mode {mode!r}")
+    if nu_delta_h is None:
+        raise ValueError("monolithic mode needs nu_delta_h")
+    return 1.0, tau / nu_delta_h
+
+
+def _record(status: dict | None, key: str, div: np.ndarray, grid: GridSpec) -> None:
+    """Keep in status[key] the largest norm of the divergences recorded under it."""
+    if status is not None:
+        norm = norm_pressure(PressureField(grid, div))
+        status[key] = max(status.get(key, norm), norm)
 
 
 def _tally(status: dict | None, report: SolveReport, what: str) -> None:
@@ -219,16 +239,22 @@ def pressure_projection(
     are the n1*n2 pressure nodes.  The iterates are kept in the range of the
     system, so the pressure is fixed in a gauge: the corner node (n1, n2),
     which no gradient reads, is pinned at exactly zero, and the mean over
-    the pressure nodes is zero.
+    the pressure nodes is zero.  ``status`` gets the norms of div u_star and
+    div u_new as "div_scale" and "div_res".
     """
     grid = u_star.grid
-    rhs = to_cosine_basis(-(1.0 / tau) * _divergence_raw(u_star.data, grid), grid)
+    div = _divergence_raw(u_star.data, grid)
+    _record(status, "div_scale", div, grid)
+    rhs = to_cosine_basis(-(1.0 / tau) * div, grid)
+    del div  # not held through the PCG
     apply, precondition, project = cosine_pressure_system(grid)
     coef, rep = cg_solve(apply, rhs, solver, project=project, precondition=precondition)
     _tally(status, rep, "pressure solve")
     parr = _pressure_range(from_cosine_basis(coef, grid))
-    xnew = u_star.data - tau * _gradient_raw(parr, grid)
-    return VelocityField.wrap(grid, xnew), PressureField(grid, parr)
+    del rhs, coef, apply, precondition, project  # released before div u_new is taken
+    u_new = VelocityField.wrap(grid, u_star.data - tau * _gradient_raw(parr, grid))
+    _record(status, "div_res", _divergence_raw(u_new.data, grid), grid)
+    return u_new, PressureField(grid, parr)
 
 
 def _sweep(
@@ -311,22 +337,25 @@ def dd_pressure_substeps(
     Substeps do not interact, so the loop order is immaterial; each solves
     the masked Poisson system -div(eta^2 grad p) = -div(eta u) / tau
     directly (``solver`` is not used) and removes the masked gradient from
-    its own component only.  Each strip pressure is the minimum-norm
-    solution: zero outside the strip's box and on the box's isolated corner
-    node, zero mean over the other box nodes.
+    its own component only; the residual checked is div(eta u_new), -tau
+    times that of the Poisson system, and ``status`` gets the largest strip
+    norms of div(eta u) and div(eta u_new) as "div_scale" and "div_res".
+    Each strip pressure is the minimum-norm solution: zero outside the
+    strip's box and on the box's isolated corner node, zero mean over the
+    other box nodes.
     """
     grid = U.grid
     out = np.empty_like(U.data)
     pressures: list[PressureField] = []
     for a, (eta, x, factors) in enumerate(zip(part.eta, U.data, part.pressure_factors)):
-        rhs = -(1.0 / tau) * _divergence_raw(eta * x, grid)
-        parr = pressure_solve(rhs, factors)
-        grad = _gradient_raw(parr, grid)
-        r = _divergence_raw(eta * eta * grad, grid)
-        r += rhs
+        div = _divergence_raw(eta * x, grid)
+        _record(status, "div_scale", div, grid)
+        parr = pressure_solve(-(1.0 / tau) * div, factors)
+        np.subtract(x, tau * eta * _gradient_raw(parr, grid), out=out[a])
+        r = _divergence_raw(eta * out[a], grid)
         _direct(status, r, f"pressure substep, strip {a}")
+        _record(status, "div_res", r, grid)
         del r  # as in _sweep
-        np.subtract(x, tau * eta * grad, out=out[a])
         pressures.append(PressureField(grid, parr))
     return DecomposedVelocity.wrap(grid, out), pressures
 
@@ -337,26 +366,20 @@ def blend_pressures(part: Partition, pressures: list[PressureField]) -> Pressure
     Diagnostic only: the scheme never uses a single global pressure, this
     just gives one field to look at.
     """
-    out = np.zeros(part.grid.shape)
-    for eta, p in zip(part.eta, pressures):
-        out += eta * p.p
-    return PressureField(part.grid, out)
-
-
-def _strip_divergence(part: Partition, U: DecomposedVelocity) -> float:
-    """Largest norm over the strips of div(eta_a u_a)."""
-    return max(norm_pressure(PressureField(U.grid, _divergence_raw(eta * x, U.grid))) for eta, x in zip(part.eta, U.data))
+    return PressureField(part.grid, weighted_sum(part, (p.p for p in pressures), part.grid.shape))
 
 
 def _report(
     step: int, t: float, norms: tuple[float, float, float, float], norm_f: float,
-    div_res: float, div_scale: float, status: dict, margin: float,
+    status: dict, growth: float, weight: float,
 ) -> StepReport:
     """Pack one step's diagnostics; norms are (state, quarter, half, end)."""
+    margin = growth * norms[0] ** 2 + weight * norm_f**2 - norms[3] ** 2
+    div_res = status["div_res"]
     for v in (*norms, div_res, margin):
         if not math.isfinite(v):
             raise NumericalBreakdownError(f"non-finite norm {v} in step report")
-    return StepReport(step, t, *norms, norm_f, div_res, div_scale, status.get("cg_iters", 0), margin)
+    return StepReport(step, t, *norms, norm_f, div_res, status["div_scale"], status.get("cg_iters", 0), margin)
 
 
 def step_monolithic(
@@ -371,19 +394,12 @@ def step_monolithic(
 
     u_star = viscous_step_monolithic(u, f_half, tau, cfg.viscous, cfg.solver, status)
     norm_star = norm_velocity(u_star)
-    div_scale = norm_pressure(PressureField(u.grid, _divergence_raw(u_star.data, u.grid)))
-
     u_new, p_new = pressure_projection(u_star, tau, cfg.solver, status)
     norm_new = norm_velocity(u_new)
-    div_res = norm_pressure(PressureField(u.grid, _divergence_raw(u_new.data, u.grid)))
 
-    margin = (
-        norm_n**2
-        + tau / (cfg.nu * spectral_lower_bound(cfg.grid)) * norm_f**2
-        - norm_new**2
-    )
     norms = (norm_n, norm_star, norm_star, norm_new)
-    return u_new, p_new, _report(step, t + tau, norms, norm_f, div_res, div_scale, status, margin)
+    estimate = energy_estimate("monolithic", tau, cfg.nu * spectral_lower_bound(cfg.grid))
+    return u_new, p_new, _report(step, t + tau, norms, norm_f, status, *estimate)
 
 
 def step_decomposed(
@@ -393,26 +409,21 @@ def step_decomposed(
     tau = cfg.tau
     part = cfg.partition
     status: dict = {}
-    F_half = None
-    norm_f = 0.0
-    if cfg.forcing is not None:
-        F_half = decompose(part, cfg.forcing(t + 0.5 * tau))
-        norm_f = norm_decomposed(F_half)
+    F_half = decompose(part, cfg.forcing(t + 0.5 * tau)) if cfg.forcing is not None else None
+    norm_f = norm_decomposed(F_half) if F_half is not None else 0.0
     norm_n = norm_decomposed(U)
 
     U_quarter = dd_forward_sweep(U, F_half, tau, cfg.viscous, part, cfg.solver, status)
+    del F_half  # each stage's input is dropped once consumed (U stays: run holds it)
     norm_quarter = norm_decomposed(U_quarter)
     U_half = dd_backward_sweep(U_quarter, tau, cfg.viscous, part, cfg.solver, status)
+    del U_quarter
     norm_half = norm_decomposed(U_half)
-
-    div_scale = _strip_divergence(part, U_half)
     U_new, pressures = dd_pressure_substeps(U_half, tau, part, cfg.solver, status)
     norm_new = norm_decomposed(U_new)
-    div_res = _strip_divergence(part, U_new)
 
-    margin = math.exp(tau) * norm_n**2 + tau * norm_f**2 - norm_new**2
     norms = (norm_n, norm_quarter, norm_half, norm_new)
-    return U_new, pressures, _report(step, t + tau, norms, norm_f, div_res, div_scale, status, margin)
+    return U_new, pressures, _report(step, t + tau, norms, norm_f, status, *energy_estimate("decomposed", tau))
 
 
 def run(cfg: SchemeConfig) -> RunResult:

@@ -36,7 +36,7 @@ from .operators import (
     vector_to_velocity,
     velocity_to_vector,
 )
-from .schemes import SchemeConfig, StepReport, run
+from .schemes import SchemeConfig, StepReport, energy_estimate, run
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -158,44 +158,28 @@ def check_stability(
 ) -> StabilityReport:
     """Replay the per-step bounds over a report series.
 
-    For the decomposed scheme each step must satisfy
-
-        ||U_end||^2 <= exp(tau) ||U_start||^2 + tau ||F||^2
-
-    and the cumulative unrolling of that bound from the first state.  The
-    monolithic bound replaces the right side with
-    ||u_start||^2 + tau / nu_delta_h * ||f||^2, so nu_delta_h (viscosity
-    times the spectral lower bound) is required in that mode.  Steps without
-    forcing must also be plainly non-increasing.  Margins are normalized by
-    the bound; a step passes when its margin is at least -rel_slack.
+    Each step must satisfy the scheme's energy estimate (see
+    schemes.energy_estimate, which needs nu_delta_h in monolithic mode), and
+    so must the cumulative unrolling of it from the first state.  Steps
+    without forcing must also be plainly non-increasing.  Margins are
+    normalized by the bound; a step passes when its margin is at least
+    -rel_slack.
     """
-    if mode not in ("monolithic", "decomposed"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "monolithic" and nu_delta_h is None:
-        raise ValueError("monolithic mode needs nu_delta_h")
-
+    growth, weight = energy_estimate(mode, tau, nu_delta_h)
     margins: list[float] = []
     cumulative: list[float] = []
     monotone_ok = True
     message = ""
-    running: float | None = None
+    running = history[0].norm_state**2 if history else 0.0
     for rep in history:
-        if mode == "decomposed":
-            bound = math.exp(tau) * rep.norm_state**2 + tau * rep.norm_forcing**2
-        else:
-            bound = rep.norm_state**2 + tau / nu_delta_h * rep.norm_forcing**2
+        bound = growth * rep.norm_state**2 + weight * rep.norm_forcing**2
         scale = max(bound, 1e-300)
         margins.append((bound - rep.norm_end**2) / scale)
         if rep.norm_forcing == 0.0 and rep.norm_end > rep.norm_state * (1.0 + rel_slack):
             monotone_ok = False
             message = f"norm grew without forcing at step {rep.step}"
 
-        if running is None:
-            running = rep.norm_state**2
-        if mode == "decomposed":
-            running = math.exp(tau) * running + tau * rep.norm_forcing**2
-        else:
-            running = running + tau / nu_delta_h * rep.norm_forcing**2
+        running = growth * running + weight * rep.norm_forcing**2
         cscale = max(running, 1e-300)
         cumulative.append((running - rep.norm_end**2) / cscale)
 
