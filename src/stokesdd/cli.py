@@ -138,8 +138,8 @@ def _check_seed(conf: dict) -> None:
 
 
 def build_scheme_config(conf: dict) -> SchemeConfig:
-    """The configured run; builds its operators now, so invalid settings raise
-    ConfigError before the run starts rather than inside it."""
+    """The configured run; a decomposed run builds its strips now, so invalid
+    settings raise ConfigError before the run starts rather than inside it."""
     try:
         grid = make_grid(conf["l1"], conf["l2"], conf["n1"], conf["n2"])
     except InvalidGridError as exc:
@@ -171,7 +171,6 @@ def build_scheme_config(conf: dict) -> SchemeConfig:
             solver=_solver_of(conf),
             forcing=forcing,
         )
-        cfg.viscous
         if cfg.scheme == "decomposed":
             cfg.partition
     except ValueError as exc:

@@ -36,7 +36,6 @@ class Partition:
     grid: GridSpec
     eta: np.ndarray
     extents: list[tuple[int, int]]
-    overlap: int
     _sweep: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -107,7 +106,7 @@ def build_strips(grid: GridSpec, m: int, overlap: int) -> Partition:
     fall = (np.array([*ramp_hi, np.inf])[:, None] - nodes) / width
     w = np.clip(np.minimum(rise, fall), 0.0, 1.0)
     extents = list(zip([0, *(lo + 1 for lo in ramp_lo)], [*(hi - 1 for hi in ramp_hi), grid.n1]))
-    return Partition(grid=grid, eta=np.sqrt(w)[:, :, None], extents=extents, overlap=overlap)
+    return Partition(grid=grid, eta=np.sqrt(w)[:, :, None], extents=extents)
 
 
 def decompose(part: Partition, u: VelocityField) -> DecomposedVelocity:

@@ -265,30 +265,27 @@ def _sweep(
 
     Ascending order solves (E + tau L) x = U + tau F, descending order
     (E + tau U) x = U, with L and U the triangles of the block operator.
-    Each strip system E + (tau/2) eta A eta is solved directly.
+    Each strip system E + (tau/2) eta A eta is solved directly.  Strip a's
+    one stencil apply A(eta_a x_a) gives its residual, row a of the system,
+    and, summed into ``coupled``, the coupling of each later strip b, equal
+    to eta_b A(sum of the solved eta_a x_a) as only neighbouring strips overlap.
     """
     grid = U.grid
-    nu = op.nu
-    factors = part.sweep_factors(nu, tau)
+    factors = part.sweep_factors(op.nu, tau)
     out = np.empty_like(U.data)
-    solved = np.zeros((2,) + grid.shape)
+    coupled = np.zeros((2,) + grid.shape)
     for k, a in enumerate(order):
         eta = part.eta[a]
         rhs = U.data[a]
         if F_half is not None:
             rhs = rhs + tau * F_half.data[a]
         if k > 0:
-            rhs = rhs - tau * eta * _viscous_raw(solved, grid, nu)
+            rhs = rhs - tau * eta * coupled
         out[a] = sweep_solve(rhs, factors[a])
-        x = out[a]
-        own = eta * x
-        r = _viscous_raw(own, grid, nu)
-        r *= 0.5 * tau * eta
-        r += x
-        r -= rhs
-        _direct(status, r, f"{what}, strip {a}")
-        solved += own
-        del r, own  # not kept through the next strip's solve, where the step's memory peaks
+        a_own = _viscous_raw(eta * out[a], grid, op.nu)
+        _direct(status, (0.5 * tau * eta) * a_own + out[a] - rhs, f"{what}, strip {a}")
+        coupled += a_own
+        del a_own  # not kept through the next strip's solve, where the step's memory peaks
     return DecomposedVelocity.wrap(grid, out)
 
 
@@ -305,7 +302,9 @@ def dd_forward_sweep(
 
     Strip a sees the already updated strips b < a through the coupling
     blocks; its own implicit system is E + (tau/2) chi_a A chi_a, solved
-    directly, so ``solver`` is not used.
+    directly (``solver`` is not used).  Its residual is row a of
+    (E + tau L) x - b; its stencil apply also gives the later strips'
+    coupling, exact as only neighbouring strips overlap.
     """
     return _sweep(U, F_half, tau, op, part, status, range(part.m), "forward sweep")
 
@@ -320,7 +319,9 @@ def dd_backward_sweep(
 ) -> DecomposedVelocity:
     """Strip-by-strip implicit solves in decreasing strip order, no forcing.
 
-    The strip systems are solved directly; ``solver`` is not used.
+    The strip systems are solved directly (``solver`` is not used).  Strip
+    a's residual is row a of (E + tau U) x - b; its stencil apply also gives
+    the lower strips' coupling, exact as only neighbouring strips overlap.
     """
     return _sweep(U, None, tau, op, part, status, range(part.m - 1, -1, -1), "backward sweep")
 
