@@ -9,13 +9,13 @@ rejected before the run started.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +41,15 @@ class ConfigError(ValueError):
     """Unknown keys, unparsable values, or infeasible settings."""
 
 
-# A one-step 401x401 run holds about 155 bytes per node monolithic, 196 at m=1
-# and 331 at m=4 overlap 2, about 45 more per strip (ru_maxrss of a child
-# process, less that of one that only imports stokesdd).  So this grid needs
-# 0.6 GB or more; larger grids are rejected before any field is allocated.
+# A one-step 401x401-node run holds NODE_BYTES per node monolithic, and a
+# decomposed one at most 140 + 56 m (STRIP_NODE_BYTES; it held 194, 233, 352,
+# 566, 1014 and 1912 at m = 1, 2, 4, 8, 16 and 32, overlap 2): ru_maxrss of a
+# child process, less that of one that only imports stokesdd.  A run is
+# rejected before any field is allocated when it would need more than
+# MAX_NODES monolithic nodes do, about 0.6 GB.
 MAX_NODES = 4_000_000
+NODE_BYTES = 155
+STRIP_NODE_BYTES = (140, 56)
 
 # key -> (parser, default); the CLI exposes each key as --key
 _KEYS: dict[str, tuple] = {
@@ -137,6 +141,31 @@ def _check_seed(conf: dict) -> None:
         raise ConfigError(f"seed must be non-negative, got {conf['seed']}")
 
 
+def _node_limit(conf: dict) -> tuple[int, str]:
+    """The most nodes a run may have, and the kind of run: MAX_NODES for a
+    monolithic one, as many as fit the same bytes for a decomposed one (an m
+    below 1 counts as 1 here; SchemeConfig refuses it)."""
+    if conf["scheme"] == "monolithic":
+        return MAX_NODES, "monolithic run"
+    base, per_strip = STRIP_NODE_BYTES
+    return MAX_NODES * NODE_BYTES // (base + per_strip * max(conf["m"], 1)), f"decomposed run with m = {conf['m']}"
+
+
+def _check_scales(grid: GridSpec, manufactured: bool) -> None:
+    """The solvers build 4/h^2 for each spacing and the manufactured forcing
+    (pi/l)^3 for each side, as python floats; side lengths for which one of
+    them is not a finite float are refused here rather than inside a step."""
+    try:
+        scales = [4.0 / grid.h1**2, 4.0 / grid.h2**2]
+        if manufactured:
+            scales += [(math.pi / grid.l1) ** 3, (math.pi / grid.l2) ** 3]
+    except (OverflowError, ZeroDivisionError):
+        scales = [math.inf]
+    if not all(map(math.isfinite, scales)):
+        forcing = " with the manufactured forcing" if manufactured else ""
+        raise ConfigError(f"side lengths {grid.l1!r}, {grid.l2!r} on {grid.n1}x{grid.n2} cells are out of range{forcing}")
+
+
 def build_scheme_config(conf: dict) -> SchemeConfig:
     """The configured run; a decomposed run builds its strips now, so invalid
     settings raise ConfigError before the run starts rather than inside it."""
@@ -145,8 +174,10 @@ def build_scheme_config(conf: dict) -> SchemeConfig:
     except InvalidGridError as exc:
         raise ConfigError(str(exc)) from exc
     nodes = (grid.n1 + 1) * (grid.n2 + 1)
-    if nodes > MAX_NODES:
-        raise ConfigError(f"grid has {nodes} nodes, more than the limit {MAX_NODES}")
+    limit, run_kind = _node_limit(conf)
+    if nodes > limit:
+        raise ConfigError(f"grid has {nodes} nodes, more than the limit {limit} of a {run_kind}")
+    _check_scales(grid, conf["forcing"] == "manufactured")
     _check_seed(conf)
     for key in ("amplitude", "decay"):
         if not math.isfinite(conf[key]):
@@ -186,34 +217,35 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """One header line, then the rows; csv writes a python float by its repr."""
+@contextmanager
+def _csv_file(path: Path, header: list[str]):
+    """Write the header line to path, then yield write(rows), which writes rows
+    of field strings as one string, comma separated and CRLF ended: the csv
+    module's bytes for fields that never need quoting."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        def write(rows) -> None:
+            handle.write("".join(",".join(row) + "\r\n" for row in rows))
+        write([header])
+        yield write
 
 
 def write_steps_csv(path: Path, reports) -> None:
     header = ["step", "t", "norm_state", "norm_quarter", "norm_half", "norm_end", "div_residual", "cg_iters_total", "bound_margin"]
-    _write_csv(path, header, ([_fmt(getattr(rep, key)) for key in header] for rep in reports))
+    with _csv_file(path, header) as write:
+        write([_fmt(getattr(rep, key)) for key in header] for rep in reports)
 
 
 def _write_nodes(path: Path, header: list[str], grid: GridSpec, columns: list[np.ndarray], first: int) -> None:
     """One row (i1, i2, x1, x2, *values) per node with i1, i2 >= first, i1
-    outer, in the bytes the csv module writes (no field needs quoting).
-
-    Each i1 line is one string and one write: the x2 text is made once per
-    file, the i1 and x1 text once per line, and per node only i2 and the
-    values, as python floats through repr.  No full-grid list is ever built."""
+    outer.  Each i1 line is one write: the i2 and x2 text is made once per
+    file, the i1 and x1 text once per line, and per node only the values, as
+    python floats through repr.  No full-grid list is ever built."""
     i2s = range(first, grid.n2 + 1)
-    x2s = [_fmt(i2 * grid.h2) for i2 in i2s]
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
+    i2_text, x2_text = [str(i2) for i2 in i2s], [_fmt(i2 * grid.h2) for i2 in i2s]
+    with _csv_file(path, header) as write:
         for i1 in range(first, grid.n1 + 1):
-            i1_text, x1_text = f"{i1},", f",{_fmt(i1 * grid.h1)},"
-            values = map(",".join, zip(*(map(repr, c[i1, first:].tolist()) for c in columns)))
-            handle.write("".join(f"{i1_text}{i2}{x1_text}{x2},{v}\r\n" for i2, x2, v in zip(i2s, x2s, values)))
+            values = (map(repr, c[i1, first:].tolist()) for c in columns)
+            write(zip([str(i1)] * len(i2s), i2_text, [_fmt(i1 * grid.h1)] * len(i2s), x2_text, *values))
 
 
 def write_velocity_csv(path: Path, u: VelocityField) -> None:
@@ -268,9 +300,17 @@ def _monitors_of(result: RunResult) -> dict:
     }
 
 
+def _out_dir(conf: dict) -> Path:
+    """The output directory, made if missing; one that cannot be made is a configuration error."""
+    try:
+        Path(conf["out_dir"]).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use out_dir {conf['out_dir']!r}: {exc}") from exc
+    return Path(conf["out_dir"])
+
+
 def cmd_run(conf: dict) -> int:
-    out_dir = Path(conf["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(conf)
     started = time.perf_counter()
     cfg = build_scheme_config(conf)
     result = run(cfg)
@@ -325,8 +365,7 @@ def cmd_converge(conf: dict) -> int:
     series is the distance between the two schemes at equal tau.  The
     spatial study walks the grid list at the smallest tau.
     """
-    out_dir = Path(conf["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(conf)
     started = time.perf_counter()
     taus = _list(conf["taus"], float, "taus")
     grids = _list(conf["grids"], int, "grids")
@@ -362,11 +401,8 @@ def cmd_converge(conf: dict) -> int:
     errors = [error_norms(final_velocity(cfg), exact_velocity(case, cfg.grid, conf["t_final"])) for cfg in spatial]
     rows += _refinement("grid", conf["scheme"], grids, [tau_min] * len(grids), errors)
 
-    _write_csv(
-        out_dir / "converge.csv",
-        ["study", "scheme", "n", "tau", "error", "ratio", "order"],
-        ([*row[:3], *map(_fmt, row[3:])] for row in rows),
-    )
+    with _csv_file(out_dir / "converge.csv", ["study", "scheme", "n", "tau", "error", "ratio", "order"]) as write:
+        write([*row[:2], *map(_fmt, row[2:])] for row in rows)
     _write_manifest(out_dir, "converge", conf, {"rows": len(rows), "completed": ok, "outputs": {"table": "converge.csv"}}, started)
     for row in rows:
         print(f"{row[0]:>5} {row[1]:>11} n={row[2]:>3} tau={row[3]:<8g} error={row[4]:.4e} order={row[6]:.2f}")
@@ -375,8 +411,7 @@ def cmd_converge(conf: dict) -> int:
 
 def cmd_stability(conf: dict) -> int:
     """Long unforced runs from random data across a ladder of time steps."""
-    out_dir = Path(conf["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(conf)
     started = time.perf_counter()
     taus = _list(conf["taus"], float, "taus")
     if not taus:
@@ -388,15 +423,13 @@ def cmd_stability(conf: dict) -> int:
         for tau in taus
     ]
     all_ok = True
-    with open(out_dir / "stability.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["tau", "m", "step", "norm_state", "norm_end", "margin"])
+    with _csv_file(out_dir / "stability.csv", ["tau", "m", "step", "norm_state", "norm_end", "margin"]) as write:
         for tau, cfg in zip(taus, cfgs):
             result = run(cfg)
             stab = _stability_of(result)
             all_ok = all_ok and result.completed and stab.passed
-            for rep, margin in zip(result.reports, stab.margins):
-                writer.writerow([_fmt(tau), cfg.m, rep.step, _fmt(rep.norm_state), _fmt(rep.norm_end), _fmt(margin)])
+            rows = ((tau, cfg.m, rep.step, rep.norm_state, rep.norm_end, margin) for rep, margin in zip(result.reports, stab.margins))
+            write(map(_fmt, row) for row in rows)
             print(f"tau={tau:<8g} steps={len(result.reports)} worst margin={stab.worst_margin:.3e} {'pass' if stab.passed else 'FAIL'}")
     _write_manifest(out_dir, "stability", conf, {"completed": all_ok, "outputs": {"table": "stability.csv"}}, started)
     return 0 if all_ok else 1

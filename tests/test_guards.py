@@ -66,3 +66,36 @@ def test_step_limit_is_exact():
     assert SchemeConfig(v=v, tau=1.0, t_final=float(MAX_STEPS)).n_steps == MAX_STEPS
     with pytest.raises(ValueError, match="steps"):
         SchemeConfig(v=v, tau=1.0, t_final=float(MAX_STEPS + 1))
+
+
+@pytest.mark.parametrize("m", [1, 1000])
+def test_decomposed_node_limit_is_exact(m, no_fields):
+    """A decomposed run may hold the bytes of MAX_NODES monolithic nodes and
+    no more; with n2 = 2 each line of constant i1 has 3 nodes."""
+    base, per_strip = cli.STRIP_NODE_BYTES
+    budget = MAX_NODES * cli.NODE_BYTES
+    lines = budget // (base + per_strip * m) // 3
+    assert lines * 3 * (base + per_strip * m) <= budget < (lines + 1) * 3 * (base + per_strip * m)
+    conf = _conf(scheme="decomposed", m=m, overlap=0, n2=2)
+    with pytest.raises(Allocated):
+        build_scheme_config(dict(conf, n1=lines - 1))
+    with pytest.raises(ConfigError, match=f"nodes, more than the limit .* m = {m}"):
+        build_scheme_config(dict(conf, n1=lines))
+
+
+def test_many_strips_on_a_grid_the_monolithic_limit_allows_exit_2(no_fields, monkeypatch, capsys, tmp_path):
+    """1999x1999 cells are 4 * 10^6 nodes: a monolithic run may start; at
+    m = 1000 the strips would need about 2 * 10^11 bytes."""
+    with pytest.raises(Allocated):
+        build_scheme_config(_conf(n1=1999, n2=1999))
+    with pytest.raises(Allocated):
+        build_scheme_config(_conf(scheme="decomposed", m=1, overlap=0, n1=1777, n2=1777))
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran for a rejected configuration")
+
+    monkeypatch.setattr(schemes, "step_decomposed", no_step)
+    flags = ["--scheme", "decomposed", "--n1", "1999", "--n2", "1999", "--overlap", "0"]
+    for m in ("1", "1000"):
+        assert main(["run", *flags, "--m", m, "--out_dir", str(tmp_path / m)]) == 2
+        assert "nodes" in capsys.readouterr().err
