@@ -23,7 +23,7 @@ import numpy as np
 from .grid import GridSpec, InvalidGridError, PressureField, VelocityField, make_grid
 from .linsolve import SolveConfig
 from .operators import spectral_lower_bound
-from .schemes import RunResult, SchemeConfig, blend_pressures, run
+from .schemes import RunResult, SchemeConfig, blend_pressures, energy_estimate, run
 from .verify import (
     ManufacturedCase,
     StabilityReport,
@@ -166,6 +166,17 @@ def _check_scales(grid: GridSpec, manufactured: bool) -> None:
         raise ConfigError(f"side lengths {grid.l1!r}, {grid.l2!r} on {grid.n1}x{grid.n2} cells are out of range{forcing}")
 
 
+def _finite_weight(cfg: SchemeConfig) -> bool:
+    """Whether the monolithic energy estimate's weight tau / (nu * delta_h), a
+    python float, is finite: for a tiny nu the product underflows to zero or
+    the quotient overflows, and the run would stop at its first step report."""
+    try:
+        _, weight = energy_estimate("monolithic", cfg.tau, cfg.nu * spectral_lower_bound(cfg.grid))
+    except ZeroDivisionError:
+        return False
+    return math.isfinite(weight)
+
+
 def build_scheme_config(conf: dict) -> SchemeConfig:
     """The configured run; a decomposed run builds its strips now, so invalid
     settings raise ConfigError before the run starts rather than inside it."""
@@ -204,6 +215,9 @@ def build_scheme_config(conf: dict) -> SchemeConfig:
         )
         if cfg.scheme == "decomposed":
             cfg.partition
+        elif not _finite_weight(cfg):
+            raise ValueError(f"viscosity {cfg.nu!r} is too small for this grid and time step: "
+                             "the energy estimate's weight tau / (nu * delta_h) is not a finite float")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -422,16 +436,19 @@ def cmd_stability(conf: dict) -> int:
         build_scheme_config(dict(conf, initial="random", forcing="none", tau=tau, t_final=tau * conf["steps"]))
         for tau in taus
     ]
-    all_ok = True
+    all_ok, message = True, ""
     with _csv_file(out_dir / "stability.csv", ["tau", "m", "step", "norm_state", "norm_end", "margin"]) as write:
         for tau, cfg in zip(taus, cfgs):
             result = run(cfg)
             stab = _stability_of(result)
-            all_ok = all_ok and result.completed and stab.passed
+            ok = result.completed and stab.passed
+            reason = "" if ok else result.message or stab.message
+            all_ok, message = all_ok and ok, message or reason
             rows = ((tau, cfg.m, rep.step, rep.norm_state, rep.norm_end, margin) for rep, margin in zip(result.reports, stab.margins))
             write(map(_fmt, row) for row in rows)
-            print(f"tau={tau:<8g} steps={len(result.reports)} worst margin={stab.worst_margin:.3e} {'pass' if stab.passed else 'FAIL'}")
-    _write_manifest(out_dir, "stability", conf, {"completed": all_ok, "outputs": {"table": "stability.csv"}}, started)
+            print(f"tau={tau:<8g} steps={len(result.reports)} worst margin={stab.worst_margin:.3e} {'pass' if ok else 'FAIL: ' + reason}")
+    extra = {"completed": all_ok, "message": message, "outputs": {"table": "stability.csv"}}
+    _write_manifest(out_dir, "stability", conf, extra, started)
     return 0 if all_ok else 1
 
 

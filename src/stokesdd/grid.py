@@ -88,10 +88,10 @@ def make_grid(l1: float, l2: float, n1: int, n2: int) -> GridSpec:
     return GridSpec(l1=float(l1), l2=float(l2), n1=n1, n2=n2, h1=l1 / n1, h2=l2 / n2)
 
 
-def _as_field_array(grid: GridSpec, data: np.ndarray | None) -> np.ndarray:
+def _as_field_array(grid: GridSpec, data: np.ndarray | None, copy: bool = True) -> np.ndarray:
     if data is None:
         return np.zeros(grid.shape)
-    arr = np.array(data, dtype=float)
+    arr = np.array(data, dtype=float, copy=copy)
     if arr.shape != grid.shape:
         raise GridMismatchError(f"array shape {arr.shape} does not match grid {grid.shape}")
     return arr
@@ -157,17 +157,25 @@ class PressureField:
     grid: GridSpec
     p: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.p = _as_field_array(self.grid, self.p)
+    def __post_init__(self, copy: bool = True) -> None:
+        self.p = _as_field_array(self.grid, self.p, copy)
         self.p[0, :] = 0.0
         self.p[:, 0] = 0.0
 
     @classmethod
+    def wrap(cls, grid: GridSpec, p: np.ndarray) -> "PressureField":
+        """Adopt an (n1+1, n2+1) float array without copying, as VelocityField.wrap does; its lines i1 = 0 and i2 = 0 are zeroed in place."""
+        field = cls.__new__(cls)
+        field.grid, field.p = grid, p
+        field.__post_init__(copy=False)
+        return field
+
+    @classmethod
     def zeros(cls, grid: GridSpec) -> "PressureField":
-        return cls(grid, np.zeros(grid.shape))
+        return cls.wrap(grid, np.zeros(grid.shape))
 
     def copy(self) -> "PressureField":
-        return PressureField(self.grid, self.p)
+        return PressureField.wrap(self.grid, self.p.copy())
 
 
 class DecomposedVelocity:

@@ -155,7 +155,7 @@ def apply_divergence(u: VelocityField) -> PressureField:
     Satisfies (grad p, u) + (p, div u) = 0 for every p and every u that
     vanishes on the boundary.
     """
-    return PressureField(u.grid, _divergence_raw(u.data, u.grid))
+    return PressureField.wrap(u.grid, _divergence_raw(u.data, u.grid))
 
 
 def apply_mask(chi: MaskOperator, u: VelocityField) -> VelocityField:

@@ -29,6 +29,7 @@ from .grid import (
     PressureField,
     VelocityField,
     norm_decomposed,
+    norm_pressure,
     norm_velocity,
 )
 from .linsolve import NumericalBreakdownError, SolveConfig, SolveReport, cg_solve
@@ -163,12 +164,9 @@ def energy_estimate(mode: str, tau: float, nu_delta_h: float | None = None) -> t
 
 
 def _record(status: dict | None, key: str, div: np.ndarray, grid: GridSpec) -> None:
-    """Keep in status[key] the largest norm of the divergences recorded under it.
-
-    The norm is norm_pressure's: a divergence is zero on the lines i1 = 0 and
-    i2 = 0, outside the pressure nodes, so the whole array can be summed."""
+    """Keep in status[key] the largest norm_pressure of the divergences recorded under it."""
     if status is not None:
-        norm = math.sqrt(grid.cell_area * float(np.sum(div * div)))
+        norm = norm_pressure(PressureField.wrap(grid, div))
         status[key] = max(status.get(key, norm), norm)
 
 
@@ -239,10 +237,11 @@ def pressure_projection(
     physical space up to rounding, which on strongly stretched cells can
     cost a few iterations more; the unknowns, and so the default max_iter,
     are the n1*n2 pressure nodes.  The iterates are kept in the range of the
-    system, so the pressure is fixed in a gauge: the corner node (n1, n2),
-    which no gradient reads, is pinned at exactly zero, and the mean over
-    the pressure nodes is zero.  ``status`` gets the norms of div u_star and
-    div u_new as "div_scale" and "div_res".
+    system, and the pressure transformed back is projected onto it once
+    more, which fixes its gauge: the corner node (n1, n2), which no gradient
+    reads, is exactly zero, and the mean over the pressure nodes is zero to
+    round-off.  ``status`` gets the norms of div u_star and div u_new as
+    "div_scale" and "div_res".
     """
     grid = u_star.grid
     div = _divergence_raw(u_star.data, grid)
@@ -256,7 +255,7 @@ def pressure_projection(
     del rhs, coef, apply, precondition, project  # released before div u_new is taken
     u_new = VelocityField.wrap(grid, u_star.data - tau * _gradient_raw(parr, grid))
     _record(status, "div_res", _divergence_raw(u_new.data, grid), grid)
-    return u_new, PressureField(grid, parr)
+    return u_new, PressureField.wrap(grid, parr)
 
 
 def _sweep(
@@ -359,7 +358,7 @@ def dd_pressure_substeps(
         _direct(status, r, f"pressure substep, strip {a}")
         _record(status, "div_res", r, grid)
         del r  # as in _sweep
-        pressures.append(PressureField(grid, parr))
+        pressures.append(PressureField.wrap(grid, parr))
     return DecomposedVelocity.wrap(grid, out), pressures
 
 
@@ -369,7 +368,7 @@ def blend_pressures(part: Partition, pressures: list[PressureField]) -> Pressure
     Diagnostic only: the scheme never uses a single global pressure, this
     just gives one field to look at.
     """
-    return PressureField(part.grid, weighted_sum(part, (p.p for p in pressures), part.grid.shape))
+    return PressureField.wrap(part.grid, weighted_sum(part, (p.p for p in pressures), part.grid.shape))
 
 
 def _report(
@@ -396,6 +395,7 @@ def step_monolithic(
     norm_n = norm_velocity(u)
 
     u_star = viscous_step_monolithic(u, f_half, tau, cfg.viscous, cfg.solver, status)
+    del f_half  # dropped once consumed, as in step_decomposed
     norm_star = norm_velocity(u_star)
     u_new, p_new = pressure_projection(u_star, tau, cfg.solver, status)
     norm_new = norm_velocity(u_new)

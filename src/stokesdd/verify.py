@@ -95,10 +95,7 @@ def exact_velocity(case: ManufacturedCase, grid: GridSpec, t: float) -> Velocity
 
 def exact_pressure(case: ManufacturedCase, grid: GridSpec, t: float) -> PressureField:
     a, b, x, y, decay = _trig(case, grid, t)
-    p = np.cos(a * x) * np.cos(b * y) * decay
-    out = PressureField.zeros(grid)
-    out.p[1:, 1:] = p[1:, 1:]
-    return out
+    return PressureField.wrap(grid, np.cos(a * x) * np.cos(b * y) * decay)
 
 
 def exact_forcing(case: ManufacturedCase, grid: GridSpec, t: float) -> VelocityField:

@@ -186,3 +186,21 @@ def test_verify_exit_0(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_stability_reports_a_stopped_tau_as_fail(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main([
+        "stability", "--n1", "12", "--n2", "12", "--taus", "0.01,0.1", "--steps", "3", "--max_iter", "2",
+        "--out_dir", str(out),
+    ])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert "steps=0" in line and "pass" not in line
+        assert line.split(" FAIL: ")[1].startswith("pressure solve: 2 iterations, residual")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["completed"] is False
+    assert manifest["message"] == lines[0].split(" FAIL: ")[1]
+    assert (out / "stability.csv").read_bytes() == b"tau,m,step,norm_state,norm_end,margin\r\n"
