@@ -23,7 +23,7 @@ import numpy as np
 from .grid import GridSpec, InvalidGridError, PressureField, VelocityField, make_grid
 from .linsolve import SolveConfig
 from .operators import spectral_lower_bound
-from .schemes import RunResult, SchemeConfig, blend_pressures, energy_estimate, run
+from .schemes import RunResult, SchemeConfig, blend_pressures, run
 from .verify import (
     ManufacturedCase,
     StabilityReport,
@@ -166,20 +166,9 @@ def _check_scales(grid: GridSpec, manufactured: bool) -> None:
         raise ConfigError(f"side lengths {grid.l1!r}, {grid.l2!r} on {grid.n1}x{grid.n2} cells are out of range{forcing}")
 
 
-def _finite_weight(cfg: SchemeConfig) -> bool:
-    """Whether the monolithic energy estimate's weight tau / (nu * delta_h), a
-    python float, is finite: for a tiny nu the product underflows to zero or
-    the quotient overflows, and the run would stop at its first step report."""
-    try:
-        _, weight = energy_estimate("monolithic", cfg.tau, cfg.nu * spectral_lower_bound(cfg.grid))
-    except ZeroDivisionError:
-        return False
-    return math.isfinite(weight)
-
-
 def build_scheme_config(conf: dict) -> SchemeConfig:
-    """The configured run; a decomposed run builds its strips now, so invalid
-    settings raise ConfigError before the run starts rather than inside it."""
+    """The configured run; the settings SchemeConfig refuses with ValueError
+    raise ConfigError before the run starts rather than inside it."""
     try:
         grid = make_grid(conf["l1"], conf["l2"], conf["n1"], conf["n2"])
     except InvalidGridError as exc:
@@ -202,7 +191,7 @@ def build_scheme_config(conf: dict) -> SchemeConfig:
         v = random_velocity(grid, make_rng(conf["seed"]))
     forcing = forcing_of(case, grid) if conf["forcing"] == "manufactured" else None
     try:
-        cfg = SchemeConfig(
+        return SchemeConfig(
             v=v,
             tau=conf["tau"],
             t_final=conf["t_final"],
@@ -213,14 +202,8 @@ def build_scheme_config(conf: dict) -> SchemeConfig:
             solver=_solver_of(conf),
             forcing=forcing,
         )
-        if cfg.scheme == "decomposed":
-            cfg.partition
-        elif not _finite_weight(cfg):
-            raise ValueError(f"viscosity {cfg.nu!r} is too small for this grid and time step: "
-                             "the energy estimate's weight tau / (nu * delta_h) is not a finite float")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 # -- output writers; floats go through repr for stable shortest round-trips

@@ -66,10 +66,15 @@ class SchemeConfig:
     """Everything one run needs: initial state, time grid, physics, solver.
 
     The step count is round(t_final / tau), at least one step, and tau is
-    adjusted so that the steps cover t_final exactly; more than MAX_STEPS
-    steps is rejected.  The forcing callable
+    adjusted so that the steps cover t_final exactly.  The forcing callable
     receives the midpoint time of the step being taken and returns a
     VelocityField; None means no forcing.
+
+    Construction refuses, with ValueError, what cannot run: an unknown
+    scheme, a non-positive or non-finite tau, t_final or nu, a bad m or
+    overlap, more than MAX_STEPS steps (an infinite t_final / tau included),
+    a non-finite energy estimate ``estimate`` = (growth, weight), which is
+    fixed for the run, and a decomposed strip layout build_strips refuses.
     """
 
     v: VelocityField
@@ -96,10 +101,19 @@ class SchemeConfig:
         if int(self.overlap) != self.overlap or self.overlap < 0:
             raise ValueError(f"overlap must be a non-negative integer, got {self.overlap}")
         self.tau_requested = self.tau
-        self.n_steps = max(1, round(self.t_final / self.tau))
-        if self.n_steps > MAX_STEPS:
-            raise ValueError(f"t_final / tau gives {self.n_steps} steps, more than the limit {MAX_STEPS}")
+        ratio = self.t_final / self.tau
+        n_steps = round(ratio) if math.isfinite(ratio) else ratio
+        if n_steps > MAX_STEPS:
+            raise ValueError(f"t_final / tau gives {n_steps} steps, more than the limit {MAX_STEPS}")
+        self.n_steps = max(1, n_steps)
         self.tau = self.t_final / self.n_steps
+        monolithic = self.scheme == "monolithic"
+        self.estimate = energy_estimate(self.scheme, self.tau, self.nu * spectral_lower_bound(self.grid) if monolithic else None)
+        if not all(map(math.isfinite, self.estimate)):
+            raise ValueError(f"time step {self.tau!r} and viscosity {self.nu!r} give the energy estimate (growth, weight) "
+                             f"= {self.estimate}: tau / (nu * delta_h) or exp(tau) is not a finite float")
+        if not monolithic:
+            self.partition  # built now, so a strip layout build_strips refuses is refused here
 
     @property
     def grid(self) -> GridSpec:
@@ -153,14 +167,17 @@ class RunResult:
 
 
 def energy_estimate(mode: str, tau: float, nu_delta_h: float | None = None) -> tuple[float, float]:
-    """(growth, weight) of the scheme's per-step bound ||u_end||^2 <= growth ||u_start||^2 + weight ||f||^2."""
+    """(growth, weight) of the scheme's per-step bound ||u_end||^2 <= growth ||u_start||^2 + weight ||f||^2; inf where that overflows."""
     if mode == "decomposed":
-        return math.exp(tau), tau
+        try:
+            return math.exp(tau), tau
+        except OverflowError:
+            return math.inf, tau
     if mode != "monolithic":
         raise ValueError(f"unknown mode {mode!r}")
     if nu_delta_h is None:
         raise ValueError("monolithic mode needs nu_delta_h")
-    return 1.0, tau / nu_delta_h
+    return 1.0, (tau / nu_delta_h if nu_delta_h else math.inf)
 
 
 def _record(status: dict | None, key: str, div: np.ndarray, grid: GridSpec) -> None:
@@ -401,8 +418,7 @@ def step_monolithic(
     norm_new = norm_velocity(u_new)
 
     norms = (norm_n, norm_star, norm_star, norm_new)
-    estimate = energy_estimate("monolithic", tau, cfg.nu * spectral_lower_bound(cfg.grid))
-    return u_new, p_new, _report(step, t + tau, norms, norm_f, status, *estimate)
+    return u_new, p_new, _report(step, t + tau, norms, norm_f, status, *cfg.estimate)
 
 
 def step_decomposed(
@@ -426,7 +442,7 @@ def step_decomposed(
     norm_new = norm_decomposed(U_new)
 
     norms = (norm_n, norm_quarter, norm_half, norm_new)
-    return U_new, pressures, _report(step, t + tau, norms, norm_f, status, *energy_estimate("decomposed", tau))
+    return U_new, pressures, _report(step, t + tau, norms, norm_f, status, *cfg.estimate)
 
 
 def run(cfg: SchemeConfig) -> RunResult:

@@ -32,7 +32,8 @@ def _conf(**kw):
     return conf
 
 
-@pytest.mark.parametrize("flags", [["--tau", "1e-9", "--t_final", "1"], ["--n1", "1000000", "--n2", "1000000"]])
+@pytest.mark.parametrize("flags", [["--tau", "1e-9", "--t_final", "1"], ["--n1", "1000000", "--n2", "1000000"],
+                                   ["--tau", "1e-300", "--t_final", "1e300"]])
 def test_run_that_cannot_finish_exits_2_and_writes_nothing(flags, tmp_path, monkeypatch, capsys):
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran for a rejected configuration")

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from stokesdd import SchemeConfig, VelocityField, make_grid
+from stokesdd import SchemeConfig, VelocityField, make_grid, spectral_lower_bound
+from stokesdd.schemes import energy_estimate
 
 
 @pytest.mark.parametrize(
@@ -30,3 +31,46 @@ def test_negative_viscosity_raises_before_any_step():
     v = VelocityField.zeros(make_grid(1.0, 1.0, 8, 8))
     with pytest.raises(ValueError, match="viscosity must be positive, got -1"):
         SchemeConfig(v=v, tau=0.1, t_final=1.0, nu=-1)
+
+
+def _v8():
+    return VelocityField.zeros(make_grid(1.0, 1.0, 8, 8))
+
+
+def test_overflowing_step_count_raises_value_error():
+    with pytest.raises(ValueError, match="gives inf steps"):
+        SchemeConfig(v=_v8(), tau=1e-300, t_final=1e300)
+
+
+def test_monolithic_weight_that_overflows_raises_at_construction():
+    with pytest.raises(ValueError, match="viscosity 1e-320"):
+        SchemeConfig(v=_v8(), tau=0.1, t_final=1.0, nu=1e-320)
+
+
+def test_decomposed_growth_that_overflows_raises_at_construction():
+    with pytest.raises(ValueError, match="energy estimate"):
+        SchemeConfig(v=_v8(), tau=1000.0, t_final=1000.0, scheme="decomposed", m=2, overlap=1)
+
+
+def test_bad_strip_layout_raises_at_construction():
+    with pytest.raises(ValueError, match="overlap of 9"):
+        SchemeConfig(v=_v8(), tau=0.1, t_final=1.0, scheme="decomposed", m=2, overlap=9)
+
+
+def test_decomposed_tiny_viscosity_constructs():
+    cfg = SchemeConfig(v=_v8(), tau=0.1, t_final=1.0, nu=1e-320, scheme="decomposed", m=2, overlap=1)
+    assert cfg.estimate == (math.exp(0.1), 0.1)
+
+
+@pytest.mark.parametrize("scheme", ["monolithic", "decomposed"])
+def test_estimate_is_the_energy_estimate_of_the_adjusted_step(scheme):
+    v = _v8()
+    cfg = SchemeConfig(v=v, tau=0.24, t_final=1.0, nu=0.5, scheme=scheme, m=2, overlap=1)
+    nu_delta_h = cfg.nu * spectral_lower_bound(v.grid) if scheme == "monolithic" else None
+    assert cfg.tau == 0.25
+    assert cfg.estimate == energy_estimate(scheme, 0.25, nu_delta_h)
+
+
+def test_energy_estimate_is_infinite_where_it_overflows():
+    assert energy_estimate("monolithic", 0.1, 0.0) == (1.0, math.inf)
+    assert energy_estimate("decomposed", 1000.0) == (math.inf, 1000.0)
