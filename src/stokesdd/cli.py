@@ -42,14 +42,14 @@ class ConfigError(ValueError):
 
 
 # A one-step 401x401-node run holds NODE_BYTES per node monolithic, and a
-# decomposed one at most 140 + 56 m (STRIP_NODE_BYTES; it held 194, 233, 352,
-# 566, 1014 and 1912 at m = 1, 2, 4, 8, 16 and 32, overlap 2): ru_maxrss of a
-# child process, less that of one that only imports stokesdd.  A run is
-# rejected before any field is allocated when it would need more than
-# MAX_NODES monolithic nodes do, about 0.6 GB.
+# decomposed one at most 146 + 40 m (STRIP_NODE_BYTES; it held 186, 194, 273,
+# 431, 749 and 1392 at m = 1, 2, 4, 8, 16 and 32, overlap 2; per strip, two
+# states and a pressure): ru_maxrss of a child process, less that of one that
+# only imports stokesdd.  A run is rejected before any field is allocated
+# when it would need more than MAX_NODES monolithic nodes do, about 0.6 GB.
 MAX_NODES = 4_000_000
 NODE_BYTES = 155
-STRIP_NODE_BYTES = (140, 56)
+STRIP_NODE_BYTES = (146, 40)
 
 # key -> (parser, default); the CLI exposes each key as --key
 _KEYS: dict[str, tuple] = {
@@ -152,18 +152,15 @@ def _node_limit(conf: dict) -> tuple[int, str]:
 
 
 def _check_scales(grid: GridSpec, manufactured: bool) -> None:
-    """The solvers build 4/h^2 for each spacing and the manufactured forcing
-    (pi/l)^3 for each side, as python floats; side lengths for which one of
-    them is not a finite float are refused here rather than inside a step."""
+    """The manufactured forcing builds (pi/l)^3 for each side as a python
+    float; side lengths for which one is not a finite float are refused here
+    rather than inside a step.  SchemeConfig refuses the spacings."""
     try:
-        scales = [4.0 / grid.h1**2, 4.0 / grid.h2**2]
-        if manufactured:
-            scales += [(math.pi / grid.l1) ** 3, (math.pi / grid.l2) ** 3]
-    except (OverflowError, ZeroDivisionError):
+        scales = [(math.pi / grid.l1) ** 3, (math.pi / grid.l2) ** 3] if manufactured else []
+    except OverflowError:
         scales = [math.inf]
     if not all(map(math.isfinite, scales)):
-        forcing = " with the manufactured forcing" if manufactured else ""
-        raise ConfigError(f"side lengths {grid.l1!r}, {grid.l2!r} on {grid.n1}x{grid.n2} cells are out of range{forcing}")
+        raise ConfigError(f"side lengths {grid.l1!r}, {grid.l2!r} on {grid.n1}x{grid.n2} cells are out of range with the manufactured forcing")
 
 
 def build_scheme_config(conf: dict) -> SchemeConfig:

@@ -47,7 +47,7 @@ from .transforms import (
     dirichlet_solve,
     from_cosine_basis,
     pressure_solve,
-    sweep_solve,
+    sweep_solve_in_place,
     to_cosine_basis,
 )
 
@@ -71,7 +71,8 @@ class SchemeConfig:
     VelocityField; None means no forcing.
 
     Construction refuses, with ValueError, what cannot run: an unknown
-    scheme, a non-positive or non-finite tau, t_final or nu, a bad m or
+    scheme, a spacing h whose 4 / h^2 (the solvers build it) is not a finite
+    float, a non-positive or non-finite tau, t_final or nu, a bad m or
     overlap, more than MAX_STEPS steps (an infinite t_final / tau included),
     a non-finite energy estimate ``estimate`` = (growth, weight), which is
     fixed for the run, and a decomposed strip layout build_strips refuses.
@@ -90,6 +91,9 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.scheme not in ("monolithic", "decomposed"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        g = self.grid
+        if not all(0.0 < h * h < math.inf and math.isfinite(4.0 / (h * h)) for h in (g.h1, g.h2)):
+            raise ValueError(f"side lengths {g.l1!r}, {g.l2!r} on {g.n1}x{g.n2} cells are out of range: 4 / h^2 is not a finite float")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"time step must be positive, got {self.tau}")
         if not (math.isfinite(self.t_final) and self.t_final > 0):
@@ -104,7 +108,7 @@ class SchemeConfig:
         ratio = self.t_final / self.tau
         n_steps = round(ratio) if math.isfinite(ratio) else ratio
         if n_steps > MAX_STEPS:
-            raise ValueError(f"t_final / tau gives {n_steps} steps, more than the limit {MAX_STEPS}")
+            raise ValueError(f"t_final / tau gives {n_steps:.12g} steps, more than the limit {MAX_STEPS}")
         self.n_steps = max(1, n_steps)
         self.tau = self.t_final / self.n_steps
         monolithic = self.scheme == "monolithic"
@@ -277,7 +281,7 @@ def pressure_projection(
 
 def _sweep(
     U: DecomposedVelocity, F_half: DecomposedVelocity | None, tau: float, op: ViscousOperator,
-    part: Partition, status: dict | None, order: range, what: str,
+    part: Partition, status: dict | None, order: range, what: str, out: np.ndarray | None,
 ) -> DecomposedVelocity:
     """Block triangular solve, one strip system per strip in ``order``.
 
@@ -287,10 +291,11 @@ def _sweep(
     one stencil apply A(eta_a x_a) gives its residual, row a of the system,
     and, summed into ``coupled``, the coupling of each later strip b, equal
     to eta_b A(sum of the solved eta_a x_a) as only neighbouring strips overlap.
+    Strip a is solved into ``out[a]`` after its rows of U and F_half are read.
     """
     grid = U.grid
     factors = part.sweep_factors(op.nu, tau)
-    out = np.empty_like(U.data)
+    out = np.empty_like(U.data) if out is None else out
     coupled = np.zeros((2,) + grid.shape)
     for k, a in enumerate(order):
         eta = part.eta[a]
@@ -299,10 +304,17 @@ def _sweep(
             rhs = rhs + tau * F_half.data[a]
         if k > 0:
             rhs = rhs - tau * eta * coupled
-        out[a] = sweep_solve(rhs, factors[a])
-        a_own = _viscous_raw(eta * out[a], grid, op.nu)
-        _direct(status, (0.5 * tau * eta) * a_own + out[a] - rhs, f"{what}, strip {a}")
+        elif F_half is None and out is U.data:
+            rhs = rhs.copy()  # a row of U, which out[a] overwrites; the residual reads it
+        x = out[a]
+        np.copyto(x, rhs)
+        sweep_solve_in_place(x, factors[a])
+        a_own = _viscous_raw(eta * x, grid, op.nu)
         coupled += a_own
+        a_own *= 0.5 * tau * eta  # now the residual, in the apply's array
+        a_own += x
+        a_own -= rhs
+        _direct(status, a_own, f"{what}, strip {a}")
         del a_own  # not kept through the next strip's solve, where the step's memory peaks
     return DecomposedVelocity.wrap(grid, out)
 
@@ -315,6 +327,8 @@ def dd_forward_sweep(
     part: Partition,
     solver: SolveConfig | None = None,
     status: dict | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> DecomposedVelocity:
     """Strip-by-strip implicit solves in increasing strip order.
 
@@ -322,9 +336,10 @@ def dd_forward_sweep(
     blocks; its own implicit system is E + (tau/2) chi_a A chi_a, solved
     directly (``solver`` is not used).  Its residual is row a of
     (E + tau L) x - b; its stencil apply also gives the later strips'
-    coupling, exact as only neighbouring strips overlap.
+    coupling, exact as only neighbouring strips overlap.  The result goes
+    into ``out`` (may be U's or F_half's array), or a new array when None.
     """
-    return _sweep(U, F_half, tau, op, part, status, range(part.m), "forward sweep")
+    return _sweep(U, F_half, tau, op, part, status, range(part.m), "forward sweep", out)
 
 
 def dd_backward_sweep(
@@ -334,14 +349,17 @@ def dd_backward_sweep(
     part: Partition,
     solver: SolveConfig | None = None,
     status: dict | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> DecomposedVelocity:
     """Strip-by-strip implicit solves in decreasing strip order, no forcing.
 
     The strip systems are solved directly (``solver`` is not used).  Strip
     a's residual is row a of (E + tau U) x - b; its stencil apply also gives
     the lower strips' coupling, exact as only neighbouring strips overlap.
+    The result goes into ``out`` (may be U's array), or a new array when None.
     """
-    return _sweep(U, None, tau, op, part, status, range(part.m - 1, -1, -1), "backward sweep")
+    return _sweep(U, None, tau, op, part, status, range(part.m - 1, -1, -1), "backward sweep", out)
 
 
 def dd_pressure_substeps(
@@ -350,6 +368,8 @@ def dd_pressure_substeps(
     part: Partition,
     solver: SolveConfig | None = None,
     status: dict | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[DecomposedVelocity, list[PressureField]]:
     """Per-strip projections: strip a is corrected by its own pressure.
 
@@ -361,10 +381,11 @@ def dd_pressure_substeps(
     norms of div(eta u) and div(eta u_new) as "div_scale" and "div_res".
     Each strip pressure is the minimum-norm solution: zero outside the
     strip's box and on the box's isolated corner node, zero mean over the
-    other box nodes.
+    other box nodes.  The result goes into ``out`` (may be U's array), or a
+    new array when None.
     """
     grid = U.grid
-    out = np.empty_like(U.data)
+    out = np.empty_like(U.data) if out is None else out
     pressures: list[PressureField] = []
     for a, (eta, x, factors) in enumerate(zip(part.eta, U.data, part.pressure_factors)):
         div = _divergence_raw(eta * x, grid)
@@ -424,7 +445,8 @@ def step_monolithic(
 def step_decomposed(
     U: DecomposedVelocity, t: float, cfg: SchemeConfig, step: int = 0
 ) -> tuple[DecomposedVelocity, list[PressureField], StepReport]:
-    """One step: forward sweep, backward sweep, per-strip projections."""
+    """One step: forward sweep, backward sweep, per-strip projections, each
+    written into one m-fold buffer, the forcing's array or a new one."""
     tau = cfg.tau
     part = cfg.partition
     status: dict = {}
@@ -432,13 +454,14 @@ def step_decomposed(
     norm_f = norm_decomposed(F_half) if F_half is not None else 0.0
     norm_n = norm_decomposed(U)
 
-    U_quarter = dd_forward_sweep(U, F_half, tau, cfg.viscous, part, cfg.solver, status)
+    buffer = F_half.data if F_half is not None else np.empty_like(U.data)
+    U_quarter = dd_forward_sweep(U, F_half, tau, cfg.viscous, part, cfg.solver, status, out=buffer)
     del F_half  # each stage's input is dropped once consumed (U stays: run holds it)
     norm_quarter = norm_decomposed(U_quarter)
-    U_half = dd_backward_sweep(U_quarter, tau, cfg.viscous, part, cfg.solver, status)
+    U_half = dd_backward_sweep(U_quarter, tau, cfg.viscous, part, cfg.solver, status, out=buffer)
     del U_quarter
     norm_half = norm_decomposed(U_half)
-    U_new, pressures = dd_pressure_substeps(U_half, tau, part, cfg.solver, status)
+    U_new, pressures = dd_pressure_substeps(U_half, tau, part, cfg.solver, status, out=buffer)
     norm_new = norm_decomposed(U_new)
 
     norms = (norm_n, norm_quarter, norm_half, norm_new)

@@ -358,13 +358,12 @@ def _eliminate(b: np.ndarray, f: StripFactors) -> None:
     The loop runs over rows, each a small array, so the rows are taken as
     views once up front.
     """
-    rows, mult, inv = list(b), list(f.mult), list(f.inv_pivot)
+    rows, mult = list(b), list(f.mult)
     tmp = np.empty_like(rows[0])
     for i in range(1, len(rows)):
         rows[i] -= np.multiply(mult[i - 1], rows[i - 1], out=tmp)
-    rows[-1] *= inv[-1]
+    b *= np.expand_dims(f.inv_pivot, tuple(range(1, b.ndim - 1)))
     for i in range(len(rows) - 2, -1, -1):
-        rows[i] *= inv[i]
         rows[i] -= np.multiply(mult[i], rows[i + 1], out=tmp)
 
 
@@ -404,8 +403,14 @@ def sweep_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:
     one transform and one elimination sweep.
     """
     x = np.array(rhs, dtype=float)
+    sweep_solve_in_place(x, f)
+    return x
+
+
+def sweep_solve_in_place(x: np.ndarray, f: StripFactors) -> None:
+    """sweep_solve with the stacked right-hand side ``x`` overwritten by the solution."""
     if not f.mult.size:
-        return x
+        return
     box = x[:, f.rows].transpose(1, 0, 2)
     work = box.copy()  # (rows, component, i2): one contiguous block per row
     work[:, :, 0] = work[:, :, -1] = 0.0
@@ -416,7 +421,6 @@ def sweep_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:
     _eliminate(work, f)
     _sine(flat, 1, ext, spec)
     box[...] = work
-    return x
 
 
 def pressure_factors(grid: GridSpec, eta: np.ndarray, extent: tuple[int, int]) -> StripFactors:

@@ -74,3 +74,17 @@ def test_estimate_is_the_energy_estimate_of_the_adjusted_step(scheme):
 def test_energy_estimate_is_infinite_where_it_overflows():
     assert energy_estimate("monolithic", 0.1, 0.0) == (1.0, math.inf)
     assert energy_estimate("decomposed", 1000.0) == (math.inf, 1000.0)
+
+
+@pytest.mark.parametrize("scheme", ["monolithic", "decomposed"])
+@pytest.mark.parametrize("l1", [1e160, 1e-160], ids=["h1^2 overflows", "h1^2 underflows"])
+def test_side_lengths_whose_spacing_is_out_of_range_raise_value_error(l1, scheme):
+    v = VelocityField.zeros(make_grid(l1, 1.0, 4, 4))
+    with pytest.raises(ValueError, match="side lengths"):
+        SchemeConfig(v=v, tau=0.1, t_final=0.1, scheme=scheme, m=2, overlap=1)
+
+
+def test_step_limit_message_of_a_huge_finite_ratio_is_short():
+    with pytest.raises(ValueError, match="steps, more than the limit") as info:
+        SchemeConfig(v=_v8(), tau=0.1, t_final=1e300)
+    assert len(str(info.value)) < 200
