@@ -41,14 +41,15 @@ class ConfigError(ValueError):
     """Unknown keys, unparsable values, or infeasible settings."""
 
 
-# A one-step 401x401-node run holds NODE_BYTES per node monolithic, and a
+# A one-step 401x401-node run holds NODE_BYTES per node monolithic (minimum
+# of three runs: 122.6-123.2 forced, 119.6-120.6 unforced), and a
 # decomposed one at most 146 + 40 m (STRIP_NODE_BYTES; it held 186, 194, 273,
 # 431, 749 and 1392 at m = 1, 2, 4, 8, 16 and 32, overlap 2; per strip, two
 # states and a pressure): ru_maxrss of a child process, less that of one that
 # only imports stokesdd.  A run is rejected before any field is allocated
-# when it would need more than MAX_NODES monolithic nodes do, about 0.6 GB.
-MAX_NODES = 4_000_000
-NODE_BYTES = 155
+# when it would need more than MAX_NODES monolithic nodes do, 0.62 GB at most.
+MAX_NODES = 2227 * 2227
+NODE_BYTES = 125
 STRIP_NODE_BYTES = (146, 40)
 
 # key -> (parser, default); the CLI exposes each key as --key

@@ -12,7 +12,9 @@ systems with consistent right-hand sides are fine: starting from zero keeps
 every iterate inside the range of the operator, and the stopping test only
 looks at the residual.  A preconditioner can leave that range, so the one
 switch for a singular system is a ``project`` hook onto the range, which
-cg_solve applies wherever the iteration could leave it.
+cg_solve applies wherever the iteration could leave it.  The iteration
+allocates nothing of the unknowns' size: x, r and the direction are updated
+in place, with the operator's output as scratch.
 """
 
 from __future__ import annotations
@@ -76,9 +78,10 @@ def cg_solve(
     ----------
     apply : callable
         The operator; must be selfadjoint and positive semidefinite on the
-        subspace the iteration runs in.
+        subspace the iteration runs in.  Its output, maybe a buffer it reuses,
+        is scratch to cg_solve (copied first if it shares the argument's memory).
     rhs : numpy.ndarray
-        Right-hand side; any shape, treated as one flat unknown vector.
+        Right-hand side, never changed; any shape, one flat unknown vector.
     cfg : SolveConfig, optional
     project : callable, optional
         Projection onto the range of a singular operator; passing one is
@@ -89,7 +92,8 @@ def cg_solve(
     precondition : callable, optional
         Approximate inverse of the operator; must be selfadjoint and
         positive definite on the range.  Receives the residual and returns a
-        new array.  The stopping test stays on the unpreconditioned residual.
+        new array or a buffer it reuses, even ``apply``'s: it is read before
+        the next call.  The stopping test stays on the unpreconditioned residual.
 
     Returns
     -------
@@ -131,12 +135,16 @@ def cg_solve(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         q = apply(d)
+        if np.may_share_memory(q, d):
+            q = q.copy()
         dq = _dot(d, q)
         if not math.isfinite(dq) or dq <= 0.0:
             raise NumericalBreakdownError(f"curvature {dq} on iteration {iterations}")
         alpha = rz / dq
-        x += alpha * d
-        r -= alpha * q
+        q *= alpha
+        r -= q
+        np.multiply(d, alpha, out=q)
+        x += q
         rr_new = _dot(r, r)
         if not math.isfinite(rr_new):
             raise NumericalBreakdownError(f"residual norm squared is {rr_new}")
@@ -145,7 +153,8 @@ def cg_solve(
             converged = True
             break
         z, rz_new = preconditioned(r, rr_new)
-        d = z + (rz_new / rz) * d
+        d *= rz_new / rz
+        d += z
         if project is not None:
             d = project(d)
         rz = rz_new

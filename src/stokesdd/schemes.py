@@ -222,19 +222,27 @@ def viscous_step_monolithic(
     """Implicit viscous step: solve (E + tau A) u_star = u + tau f directly.
 
     A 2-D sine transform diagonalizes the system, so no iteration is needed;
-    ``solver`` is not used.  The true residual, from one stencil apply, is
-    reported with zero iterations, and a non-finite one raises
-    NumericalBreakdownError.
+    ``solver`` is not used.  ``u`` and ``f_half`` are not written to: a
+    forced u + tau f is formed in the new array solved in place and
+    returned, and once more for the residual, after the solve's workspace is
+    freed.  The true residual, from one stencil apply, is reported with zero
+    iterations, and a non-finite one raises NumericalBreakdownError.
     """
     grid = u.grid
-    rhs = u.data
-    if f_half is not None:
-        rhs = rhs + tau * f_half.data
-    x = dirichlet_solve(rhs, grid, op.nu, tau)
+
+    def forced_rhs() -> np.ndarray:
+        rhs = np.multiply(f_half.data, tau)
+        return np.add(rhs, u.data, out=rhs)
+
+    if f_half is None:
+        x = dirichlet_solve(u.data, grid, op.nu, tau)
+    else:
+        x = forced_rhs()
+        dirichlet_solve(x, grid, op.nu, tau, out=x)
     r = _viscous_raw(x, grid, op.nu)
     r *= tau
     r += x
-    r -= rhs
+    r -= u.data if f_half is None else forced_rhs()
     _direct(status, r, "viscous solve")
     return VelocityField.wrap(grid, x)
 
@@ -271,9 +279,10 @@ def pressure_projection(
     del div  # not held through the PCG
     apply, precondition, project = cosine_pressure_system(grid)
     coef, rep = cg_solve(apply, rhs, solver, project=project, precondition=precondition)
+    del rhs, apply, precondition, project  # the system's buffers go before the transform back
     _tally(status, rep, "pressure solve")
     parr = _pressure_range(from_cosine_basis(coef, grid))
-    del rhs, coef, apply, precondition, project  # released before div u_new is taken
+    del coef  # released before div u_new is taken
     u_new = VelocityField.wrap(grid, u_star.data - tau * _gradient_raw(parr, grid))
     _record(status, "div_res", _divergence_raw(u_new.data, grid), grid)
     return u_new, PressureField.wrap(grid, parr)

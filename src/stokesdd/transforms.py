@@ -85,16 +85,19 @@ def _sine(a: np.ndarray, axis: int, ext: np.ndarray, spec: np.ndarray) -> None:
     np.copyto(a, spec.imag)
 
 
-def dirichlet_solve(rhs: np.ndarray, grid: GridSpec, nu: float, tau: float) -> np.ndarray:
+def dirichlet_solve(rhs: np.ndarray, grid: GridSpec, nu: float, tau: float, *, out: np.ndarray | None = None) -> np.ndarray:
     """Solve (E + tau*nu*A) x = rhs directly, A the Dirichlet five-point operator.
 
     ``rhs`` is a stacked (2, n1+1, n2+1) velocity array; its boundary entries
-    are ignored and those of the result are zero.  The components are
-    transformed one after the other through the same two work arrays.
+    are ignored and those of the result are zero.  It is solved into ``out``
+    (a new array if None), which may be ``rhs``, its boundary zeroed in place.
+    The components go one after the other through the same two work arrays.
     """
     n1, n2 = grid.n1, grid.n2
     d1, d2 = _sine_tables(grid, nu, tau)
-    x = np.array(rhs, dtype=float)
+    x = np.array(rhs, dtype=float) if out is None else out
+    if out is not None and out is not rhs:
+        np.copyto(x, rhs)
     x[:, 0, :] = x[:, -1, :] = 0.0
     x[:, :, 0] = x[:, :, -1] = 0.0
     flat = np.empty(2 * max(n1 * (n2 + 1), n2 * (n1 + 1)))
@@ -262,8 +265,9 @@ def cosine_pressure_system(grid: GridSpec) -> tuple[Callable[[np.ndarray], np.nd
     residual would otherwise drift into the kernel, along the corner delta
     that the physical stencil leaves exactly zero.  Each rank-two update is
     one (n1, 2) by (2, n2) matrix product, much faster than two outer
-    products.  The diagonal, its inverse and the factors of the updates are
-    built here, once per solve.
+    products.  The diagonal, its inverse, the factors of the updates and two
+    (n1, n2) buffers are built here, once per solve: ``work`` holds the output
+    of apply and then of precondition, and ``rank2`` every rank-two product.
     """
     _, q1, lam1, _, q2, lam2 = _cosine_basis(grid)
     den = lam1[:, None] + lam2
@@ -281,6 +285,8 @@ def cosine_pressure_system(grid: GridSpec) -> tuple[Callable[[np.ndarray], np.nd
     edge_left[:, 1] = q1
     edge_right = np.empty((2, grid.n2))
     edge_right[0] = q2
+    work = np.empty((grid.n1, grid.n2))
+    rank2 = np.empty((grid.n1, grid.n2))
 
     def project(y: np.ndarray) -> np.ndarray:
         # remove the corner delta u = q1 q2^T, then the constant on the other
@@ -289,18 +295,18 @@ def cosine_pressure_system(grid: GridSpec) -> tuple[Callable[[np.ndarray], np.nd
         beta = (root * y[0, 0] - a) / (size - 1)
         np.multiply(q2, a - beta, out=kernel_right[0])
         kernel_right[1, 0] = root * beta
-        y -= kernel_left @ kernel_right
+        y -= np.matmul(kernel_left, kernel_right, out=rank2)
         return y
 
     def apply(y: np.ndarray) -> np.ndarray:
-        out = den * y
+        out = np.multiply(den, y, out=work)
         np.multiply(y @ q2, lam1, out=edge_left[:, 0])
         np.multiply(q1 @ y, lam2, out=edge_right[1])
-        out -= edge_left @ edge_right
+        out -= np.matmul(edge_left, edge_right, out=rank2)
         return project(out)
 
     def precondition(r: np.ndarray) -> np.ndarray:
-        return inv * r
+        return np.multiply(inv, r, out=work)
 
     return apply, precondition, project
 
