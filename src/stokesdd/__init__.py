@@ -1,5 +1,16 @@
 """Matrix-free 2D unsteady Stokes solver with overlapping-strip time stepping."""
 
+import os
+
+# The solver runs in one thread.  A threaded BLAS splits a long dot product
+# and sums its parts in another order, so a run's bytes would depend on the
+# core count; each count is set to one before numpy loads the library,
+# unless it is already set.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
 from .grid import (
     DecomposedVelocity,
     GridMismatchError,

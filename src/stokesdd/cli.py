@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .grid import GridSpec, InvalidGridError, PressureField, VelocityField, make_grid
 from .linsolve import SolveConfig
 from .operators import spectral_lower_bound
@@ -41,16 +42,17 @@ class ConfigError(ValueError):
     """Unknown keys, unparsable values, or infeasible settings."""
 
 
-# A one-step 401x401-node run holds NODE_BYTES per node monolithic (minimum
-# of three runs: 122.6-123.2 forced, 119.6-120.6 unforced), and a
-# decomposed one at most 146 + 40 m (STRIP_NODE_BYTES; it held 186, 194, 273,
-# 431, 749 and 1392 at m = 1, 2, 4, 8, 16 and 32, overlap 2; per strip, two
-# states and a pressure): ru_maxrss of a child process, less that of one that
-# only imports stokesdd.  A run is rejected before any field is allocated
-# when it would need more than MAX_NODES monolithic nodes do, 0.62 GB at most.
+# A one-step 401x401-node run holds NODE_BYTES per node monolithic (three
+# runs: 117.9-118.2 forced, 113.8-114.8 unforced), and a decomposed one at
+# most 127 + 39 m (STRIP_NODE_BYTES; it held 164.4, 172.9, 244.3, 401.9,
+# 721.9 and 1364.5 at m = 1, 2, 4, 8, 16 and 32, overlap 2, the largest of
+# three runs; per strip, two states and a pressure): ru_maxrss of a child
+# process, less that of one that only imports stokesdd.cli.  A run is
+# rejected before any field is allocated when it would need more than
+# MAX_NODES monolithic nodes do, 0.59 GB at most.
 MAX_NODES = 2227 * 2227
-NODE_BYTES = 125
-STRIP_NODE_BYTES = (146, 40)
+NODE_BYTES = 119
+STRIP_NODE_BYTES = (127, 39)
 
 # key -> (parser, default); the CLI exposes each key as --key
 _KEYS: dict[str, tuple] = {
@@ -251,13 +253,9 @@ def write_pressure_csv(path: Path, p: PressureField) -> None:
     _write_nodes(path, ["i1", "i2", "x1", "x2", "p"], p.grid, [p.p], 1)
 
 
-# Thread-count variables of the BLAS libraries numpy may be built against.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
 def _environment() -> dict:
-    """What a run's timings depend on: python, numpy, core count, BLAS thread settings (None when unset)."""
+    """What a run's timings depend on: python, numpy, core count, BLAS thread settings (None when unset;
+    importing stokesdd sets each unset one to 1)."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -82,6 +82,8 @@ def cg_solve(
         is scratch to cg_solve (copied first if it shares the argument's memory).
     rhs : numpy.ndarray
         Right-hand side, never changed; any shape, one flat unknown vector.
+        It is copied first and not referenced after, so an array that only
+        the call holds is freed before the iteration.
     cfg : SolveConfig, optional
     project : callable, optional
         Projection onto the range of a singular operator; passing one is
@@ -104,6 +106,7 @@ def cg_solve(
     """
     cfg = cfg or SolveConfig()
     r = rhs.astype(float, copy=True)
+    del rhs
     if project is not None:
         r = project(r)
     x = np.zeros_like(r)

@@ -116,8 +116,9 @@ def _gradient_raw(p: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _divergence_raw(x: np.ndarray, grid: GridSpec) -> np.ndarray:
-    out = np.zeros(grid.shape)
+def _divergence_raw(x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """div x on the pressure nodes, into ``out`` (a new array if None; if given, zero on row and column 0)."""
+    out = np.zeros(grid.shape) if out is None else out
     np.subtract(x[0, 1:, 1:], x[0, :-1, 1:], out=out[1:, 1:])
     out /= grid.h1
     across = x[1, 1:, 1:] - x[1, 1:, :-1]

@@ -9,14 +9,14 @@ recovers the original field because the squares sum to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .grid import DecomposedVelocity, GridMismatchError, GridSpec, VelocityField
 from .operators import MaskOperator
-from .transforms import StripFactors, pressure_factors, sweep_factors
+from .transforms import StripFactors, _interior_rows, pressure_factors, sweep_factors
 
 
 class InvalidPartitionError(ValueError):
@@ -30,7 +30,7 @@ class Partition:
     Every weight depends on i1 alone, so ``eta`` holds them as one
     (m, n1+1, 1) table that broadcasts against a field.  It also keeps the
     factors of the strip solves, built on first use: the sweep factors per
-    (nu, tau), the pressure factors once.
+    (nu, tau), the pressure factors once, and the rows each strip works on.
     """
 
     grid: GridSpec
@@ -55,6 +55,26 @@ class Partition:
                 sweep_factors(self.grid, eta[:, 0], ext, nu, tau) for eta, ext in zip(self.eta, self.extents)
             ]
         return self._sweep[key]
+
+    @cached_property
+    def slabs(self) -> list[tuple[slice, GridSpec] | None]:
+        """Per strip, the rows its work in a step runs on, and their grid.
+
+        The slab is the strip's interior rows widened by two rows on each
+        side, cut to the grid, so that a stencil or a difference taken on it
+        is exact on the slab's inner rows: the interior rows widened by one.
+        Its grid has the slab's cells and the full grid's spacings.  A strip
+        with no interior row gets None: its work is empty.
+        """
+        slabs: list[tuple[slice, GridSpec] | None] = []
+        for extent in self.extents:
+            first, last = _interior_rows(self.grid, extent)
+            if last < first:
+                slabs.append(None)
+                continue
+            lo, hi = max(first - 2, 0), min(last + 2, self.grid.n1)
+            slabs.append((slice(lo, hi + 1), replace(self.grid, n1=hi - lo, l1=(hi - lo) * self.grid.h1)))
+        return slabs
 
     @cached_property
     def pressure_factors(self) -> list[StripFactors]:

@@ -47,7 +47,7 @@ from .transforms import (
     dirichlet_solve,
     from_cosine_basis,
     pressure_solve,
-    sweep_solve_in_place,
+    sweep_solve_rows,
     to_cosine_basis,
 )
 
@@ -275,17 +275,23 @@ def pressure_projection(
     grid = u_star.grid
     div = _divergence_raw(u_star.data, grid)
     _record(status, "div_scale", div, grid)
-    rhs = to_cosine_basis(-(1.0 / tau) * div, grid)
-    del div  # not held through the PCG
+    rhs = [to_cosine_basis(-(1.0 / tau) * div, grid)]
+    del div  # freed before the system's buffers are made
     apply, precondition, project = cosine_pressure_system(grid)
-    coef, rep = cg_solve(apply, rhs, solver, project=project, precondition=precondition)
-    del rhs, apply, precondition, project  # the system's buffers go before the transform back
+    # popped into the call, the right-hand side is held by cg_solve alone, which drops it once copied
+    coef, rep = cg_solve(apply, rhs.pop(), solver, project=project, precondition=precondition)
+    del apply, precondition, project  # the system's buffers go before the transform back
     _tally(status, rep, "pressure solve")
     parr = _pressure_range(from_cosine_basis(coef, grid))
     del coef  # released before div u_new is taken
     u_new = VelocityField.wrap(grid, u_star.data - tau * _gradient_raw(parr, grid))
     _record(status, "div_res", _divergence_raw(u_new.data, grid), grid)
     return u_new, PressureField.wrap(grid, parr)
+
+
+def _rows(slab: tuple[slice, GridSpec] | None) -> tuple[int, int]:
+    """First and past-last row of a slab's inner rows, where its stencils are exact; (0, 0) for None."""
+    return (slab[0].start + 1, slab[0].stop - 1) if slab is not None else (0, 0)
 
 
 def _sweep(
@@ -296,36 +302,87 @@ def _sweep(
 
     Ascending order solves (E + tau L) x = U + tau F, descending order
     (E + tau U) x = U, with L and U the triangles of the block operator.
-    Each strip system E + (tau/2) eta A eta is solved directly.  Strip a's
-    one stencil apply A(eta_a x_a) gives its residual, row a of the system,
-    and, summed into ``coupled``, the coupling of each later strip b, equal
-    to eta_b A(sum of the solved eta_a x_a) as only neighbouring strips overlap.
-    Strip a is solved into ``out[a]`` after its rows of U and F_half are read.
+    Each strip system E + (tau/2) eta A eta is solved directly.  Every
+    right-hand side U + tau F is formed in ``out`` first, in one pass; then
+    each strip works on its rows ± 1 (``part.slabs``).  Strip a's one
+    stencil apply A(eta_a x_a) gives its residual, row a of the system, and
+    the coupling of each later strip b, eta_b A(sum of the solved eta_a
+    x_a); see _couple for how that sum is held.  The residual handed to
+    _direct is full-grid, zero off the strip's interior rows.
     """
     grid = U.grid
     factors = part.sweep_factors(op.nu, tau)
-    out = np.empty_like(U.data) if out is None else out
-    coupled = np.zeros((2,) + grid.shape)
+    if F_half is None:
+        out = U.data.copy() if out is None else out
+        if out is not U.data:
+            np.copyto(out, U.data)
+    elif out is U.data:
+        for o, f in zip(out, F_half.data):
+            o += tau * f
+    else:
+        out = np.multiply(F_half.data, tau, out=out)
+        out += U.data
+    held = None
     for k, a in enumerate(order):
-        eta = part.eta[a]
-        rhs = U.data[a]
-        if F_half is not None:
-            rhs = rhs + tau * F_half.data[a]
-        if k > 0:
-            rhs = rhs - tau * eta * coupled
-        elif F_half is None and out is U.data:
-            rhs = rhs.copy()  # a row of U, which out[a] overwrites; the residual reads it
-        x = out[a]
-        np.copyto(x, rhs)
-        sweep_solve_in_place(x, factors[a])
-        a_own = _viscous_raw(eta * x, grid, op.nu)
-        coupled += a_own
-        a_own *= 0.5 * tau * eta  # now the residual, in the apply's array
-        a_own += x
-        a_own -= rhs
-        _direct(status, a_own, f"{what}, strip {a}")
-        del a_own  # not kept through the next strip's solve, where the step's memory peaks
+        eta, x, slab = part.eta[a], out[a], part.slabs[a]
+        if slab is None:  # no interior row: nothing to solve, and held is None
+            _direct(status, np.zeros(x.shape), f"{what}, strip {a}")
+            continue
+        if held is not None:
+            band, coupled = held
+            x[:, band] -= (tau * eta[band]) * coupled
+        rows, (near, sub) = factors[a].rows, slab
+        # x keeps the right-hand side on the solved rows until the residual is taken
+        solved = sweep_solve_rows(x, factors[a]).transpose(1, 0, 2)
+        own = eta[near] * x[:, near]
+        inner = slice(rows.start - near.start, rows.stop - near.start)
+        np.multiply(eta[rows], solved, out=own[:, inner])
+        applied = _viscous_raw(own, sub, op.nu)
+        del own
+        r = np.zeros(x.shape)  # the residual, zero off the solved rows
+        own = np.multiply(applied[:, inner], 0.5 * tau * eta[rows], out=r[:, rows])
+        own += solved
+        own -= x[:, rows]
+        _direct(status, r, f"{what}, strip {a}")
+        del r, own  # not kept through the next strip's solve, where the step's memory peaks
+        x[:, rows] = solved
+        del solved
+        held = _couple(out, part, order[k + 1 :], slab, applied, held)
     return DecomposedVelocity.wrap(grid, out)
+
+
+def _couple(out: np.ndarray, part: Partition, later: range, slab: tuple[slice, GridSpec], applied: np.ndarray,
+            held: tuple[slice, np.ndarray] | None) -> tuple[slice, np.ndarray] | None:
+    """Add a solved strip's apply to the coupling sum; hand on what the next strip needs.
+
+    The full-grid sweep keeps coupled, the sum of the solved strips'
+    A(eta x), from +0.0 and takes tau eta_b coupled off every later strip b
+    on every row.  Here the sum covers the inner rows of ``slab``, where
+    ``applied`` is exact, plus the rows ``held`` from the strip before.  As
+    the windows run in order, rows the next strip's window shares are held
+    for it; every other row is final, and there eta_b is zero for all later
+    strips, so tau eta_b coupled is coupled times +0.0: it is taken off them
+    now, which keeps the sign of every zero the full-grid sweep leaves.
+    """
+    if not later:
+        return None
+    lo, hi = _rows(slab)
+    coupled = applied[:, 1:-1]
+    coupled += 0.0  # the sum starts from +0.0, which turns -0.0 into +0.0
+    if held is not None:
+        band, band_sum = held
+        coupled[:, band.start - lo : band.stop - lo] += band_sum
+    start, stop = _rows(part.slabs[later[0]])
+    start, stop = max(lo, start), min(hi, stop)
+    if start >= stop:  # the next window does not meet this one
+        start = stop = hi
+    for first, last in ((lo, start), (stop, hi)):
+        if first < last:
+            final = coupled[:, first - lo : last - lo]
+            final *= 0.0
+            for b in later:
+                out[b][:, first:last] -= final
+    return (slice(start, stop), coupled[:, start - lo : stop - lo].copy()) if start < stop else None
 
 
 def dd_forward_sweep(
@@ -390,18 +447,34 @@ def dd_pressure_substeps(
     norms of div(eta u) and div(eta u_new) as "div_scale" and "div_res".
     Each strip pressure is the minimum-norm solution: zero outside the
     strip's box and on the box's isolated corner node, zero mean over the
-    other box nodes.  The result goes into ``out`` (may be U's array), or a
-    new array when None.
+    other box nodes.  Each strip takes its divergences, gradient and update
+    on its rows ± 1 (``part.slabs``), where they are not zero; the
+    divergences go into full-grid arrays, so that their norms sum the same
+    entries in the same order as over the whole grid.  The result goes into
+    ``out`` (may be U's array), or a new array when None.
     """
     grid = U.grid
-    out = np.empty_like(U.data) if out is None else out
+    if out is None:
+        out = U.data.copy()
+    elif out is not U.data:
+        np.copyto(out, U.data)
     pressures: list[PressureField] = []
-    for a, (eta, x, factors) in enumerate(zip(part.eta, U.data, part.pressure_factors)):
-        div = _divergence_raw(eta * x, grid)
+    for a, (eta, x, factors, slab) in enumerate(zip(part.eta, out, part.pressure_factors, part.slabs)):
+        div = np.zeros(grid.shape)
+        if slab is not None:
+            near, sub = slab
+            _divergence_raw(eta[near] * x[:, near], sub, div[near])
         _record(status, "div_scale", div, grid)
-        parr = pressure_solve(-(1.0 / tau) * div, factors)
-        np.subtract(x, tau * eta * _gradient_raw(parr, grid), out=out[a])
-        r = _divergence_raw(eta * out[a], grid)
+        div[factors.rows] *= -(1.0 / tau)  # the solve reads the box only
+        parr = pressure_solve(div, factors)
+        del div
+        r = np.zeros(grid.shape)
+        if slab is not None:
+            grad = _gradient_raw(parr[near], sub)
+            grad *= tau * eta[near]
+            x[:, near.start + 1 : near.stop - 1] -= grad[:, 1:-1]
+            del grad
+            _divergence_raw(eta[near] * x[:, near], sub, r[near])
         _direct(status, r, f"pressure substep, strip {a}")
         _record(status, "div_res", r, grid)
         del r  # as in _sweep

@@ -80,7 +80,8 @@ def _sine(a: np.ndarray, axis: int, ext: np.ndarray, spec: np.ndarray) -> None:
     """
     n = a.shape[axis] - 1
     ext[_along(axis, slice(0, n + 1))] = a
-    np.negative(a[_along(axis, slice(n - 1, 0, -1))], out=ext[_along(axis, slice(n + 1, None))])
+    np.negative(a, out=a)  # in place: a ufunc on a reversed view would buffer it
+    ext[_along(axis, slice(n + 1, None))] = a[_along(axis, slice(n - 1, 0, -1))]
     rfft(ext, axis=axis, out=spec)
     np.copyto(a, spec.imag)
 
@@ -91,7 +92,10 @@ def dirichlet_solve(rhs: np.ndarray, grid: GridSpec, nu: float, tau: float, *, o
     ``rhs`` is a stacked (2, n1+1, n2+1) velocity array; its boundary entries
     are ignored and those of the result are zero.  It is solved into ``out``
     (a new array if None), which may be ``rhs``, its boundary zeroed in place.
-    The components go one after the other through the same two work arrays.
+    The components go one after the other through the same two work arrays,
+    which are all the workspace: 2 max(n1 (n2+1), n2 (n1+1)) floats and
+    (n1+1)(n2+1) complex entries; the latter also hold the two tables whose
+    sum is the denominator, so that no operation broadcasts.
     """
     n1, n2 = grid.n1, grid.n2
     d1, d2 = _sine_tables(grid, nu, tau)
@@ -106,8 +110,10 @@ def dirichlet_solve(rhs: np.ndarray, grid: GridSpec, nu: float, tau: float, *, o
     for comp in x:
         _sine(comp, 0, ext[0], spec)
         _sine(comp, 1, ext[1], spec)
-        den = ext[0][: n1 + 1]
-        np.add(d1, d2, out=den)
+        den, across = spec.view(float).reshape(2, n1 + 1, n2 + 1)  # spec is idle between the transforms
+        np.copyto(den, d1)
+        np.copyto(across, d2)
+        den += across
         comp /= den
         _sine(comp, 0, ext[0], spec)
         _sine(comp, 1, ext[1], spec)
@@ -123,29 +129,45 @@ def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tw, np.conj(tw)
 
 
-def _cosine(b: np.ndarray, axis: int, ext: np.ndarray, spec: np.ndarray, tw: np.ndarray) -> None:
+def _cosine(b: np.ndarray, axis: int, ext: np.ndarray, spec: np.ndarray, tw: np.ndarray,
+            table: np.ndarray | None = None) -> None:
     """b <- DCT-II of b along axis, sum_j b_j cos(pi k (2j+1) / (2n)).
 
     Makhoul's method: with the even-index entries of ``b`` followed by the
     odd-index ones in reverse order in ``ext``, W = tw * rfft(ext) gives mode
-    k as Re W_k and mode n-k as -Im W_k.
+    k as Re W_k and mode n-k as -Im W_k.  ``tw`` broadcasts against
+    ``spec``.  ``table``, spec's shape of memory that ``ext`` may share, takes
+    tw broadcast once ext has been read, so that the product does not
+    broadcast: numpy would buffer the broadcast operand.
     """
     n, h = b.shape[axis], (b.shape[axis] + 1) // 2
     ext[_along(axis, slice(0, h))] = b[_along(axis, slice(0, None, 2))]
     ext[_along(axis, slice(h, None))] = b[_along(axis, slice(1, None, 2))][_along(axis, slice(None, None, -1))]
     rfft(ext, axis=axis, out=spec)
+    if table is not None:
+        np.copyto(table, tw)
+        tw = table
     spec *= tw
+    np.conjugate(spec, out=spec)  # -Im W, with no ufunc on a reversed view
     np.copyto(b[_along(axis, slice(0, n // 2 + 1))], spec.real)
-    np.negative(spec.imag[_along(axis, slice((n - 1) // 2, 0, -1))], out=b[_along(axis, slice(n // 2 + 1, None))])
+    b[_along(axis, slice(n // 2 + 1, None))] = spec.imag[_along(axis, slice((n - 1) // 2, 0, -1))]
 
 
-def _cosine_inverse(b: np.ndarray, axis: int, ext: np.ndarray, spec: np.ndarray, twc: np.ndarray) -> None:
-    """Inverse of _cosine: irfft of twc * W, W_k = b_k - i b_{n-k} (b_n = 0), then the reordering undone."""
+def _cosine_inverse(b: np.ndarray, axis: int, ext: np.ndarray, spec: np.ndarray, twc: np.ndarray,
+                    table: np.ndarray | None = None) -> None:
+    """Inverse of _cosine: irfft of twc * W, W_k = b_k - i b_{n-k} (b_n = 0), then the reordering undone.
+
+    ``table`` is as in _cosine; it is filled before ``ext`` is written.
+    """
     n, h = b.shape[axis], (b.shape[axis] + 1) // 2
     top = b[_along(axis, slice(n - n // 2, None))]
     spec.real[...] = b[_along(axis, slice(0, n // 2 + 1))]
+    spec.imag[_along(axis, slice(1, None))] = top[_along(axis, slice(None, None, -1))]
+    np.conjugate(spec, out=spec)
     spec.imag[_along(axis, slice(0, 1))] = 0.0
-    np.negative(top[_along(axis, slice(None, None, -1))], out=spec.imag[_along(axis, slice(1, None))])
+    if table is not None:
+        np.copyto(table, twc)
+        twc = table
     spec *= twc
     irfft(spec, n=n, axis=axis, out=ext)
     b[_along(axis, slice(0, None, 2))] = ext[_along(axis, slice(0, h))]
@@ -316,11 +338,16 @@ def _pressure_range(arr: np.ndarray) -> np.ndarray:
 
     The kernel holds the constants and the delta at the corner node (n1, n2),
     which no gradient component reads: zero the corner, then remove the mean
-    of the other pressure nodes.
+    of the other pressure nodes.  ``arr`` holds whole rows, so the mean is
+    taken off the contiguous rows 1.. and column 0, outside the pressure
+    nodes, is set back to zero: numpy would buffer the strided block.
     """
     arr[-1, -1] = 0.0
     block = arr[1:, 1:]
-    block -= block.sum() / (block.size - 1)
+    mean = block.sum() / (block.size - 1)
+    rest = arr[1:]
+    rest -= mean
+    rest[:, 0] = 0.0
     arr[-1, -1] = 0.0
     return arr
 
@@ -358,17 +385,19 @@ def _factor(rows: slice, diag: np.ndarray, off: np.ndarray, leaf: np.ndarray | N
     return StripFactors(rows, mult, inv, leaf)
 
 
-def _eliminate(b: np.ndarray, f: StripFactors) -> None:
-    """Solve the factored systems in place along axis 0 of ``b``.
+def _eliminate(b: np.ndarray, mult: np.ndarray, inv_pivot: np.ndarray) -> None:
+    """Solve factored systems in place along axis 0 of a contiguous ``b``.
 
-    The loop runs over rows, each a small array, so the rows are taken as
-    views once up front.
+    ``inv_pivot`` has b's shape and ``mult`` that of all rows of b but the
+    last, so that no operation broadcasts: numpy would buffer a broadcast
+    operand.  The loop runs over rows, each a small array, so the rows are
+    taken as views once up front; one more row is the only allocation.
     """
-    rows, mult = list(b), list(f.mult)
+    rows, mult = list(b), list(mult)
     tmp = np.empty_like(rows[0])
     for i in range(1, len(rows)):
         rows[i] -= np.multiply(mult[i - 1], rows[i - 1], out=tmp)
-    b *= np.expand_dims(f.inv_pivot, tuple(range(1, b.ndim - 1)))
+    b *= inv_pivot
     for i in range(len(rows) - 2, -1, -1):
         rows[i] -= np.multiply(mult[i], rows[i + 1], out=tmp)
 
@@ -409,24 +438,36 @@ def sweep_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:
     one transform and one elimination sweep.
     """
     x = np.array(rhs, dtype=float)
-    sweep_solve_in_place(x, f)
+    if f.mult.size:
+        x[:, f.rows] = sweep_solve_rows(x, f).transpose(1, 0, 2)
     return x
 
 
-def sweep_solve_in_place(x: np.ndarray, f: StripFactors) -> None:
-    """sweep_solve with the stacked right-hand side ``x`` overwritten by the solution."""
+def sweep_solve_rows(x: np.ndarray, f: StripFactors) -> np.ndarray:
+    """The solution on the strip's rows as a new (rows, component, i2) array; ``x`` is only read.
+
+    With R the strip's rows and w = n2+1, the workspace is all it allocates
+    (but for one row of the elimination and the rows' views): the returned
+    array, 2 R w floats, ``ext``, 4 R (w-1), and ``spec``, 2 R w complex
+    entries.  Between the two transforms ``spec`` is idle and holds the
+    factors broadcast to the shape of the solution.
+    """
+    work = x[:, f.rows].transpose(1, 0, 2).copy()  # one contiguous block per row
     if not f.mult.size:
-        return
-    box = x[:, f.rows].transpose(1, 0, 2)
-    work = box.copy()  # (rows, component, i2): one contiguous block per row
+        return work
     work[:, :, 0] = work[:, :, -1] = 0.0
     flat = work.reshape(-1, work.shape[-1])
     ext = np.empty((flat.shape[0], 2 * (flat.shape[1] - 1)))
     spec = np.empty(flat.shape, dtype=complex)
     _sine(flat, 1, ext, spec)
-    _eliminate(work, f)
+    idle = spec.view(float).reshape(-1)
+    mult = idle[: work[:-1].size].reshape(work[:-1].shape)
+    inv_pivot = idle[mult.size : mult.size + work.size].reshape(work.shape)
+    np.copyto(mult, f.mult[:-1, None])
+    np.copyto(inv_pivot, f.inv_pivot[:, None])
+    _eliminate(work, mult, inv_pivot)
     _sine(flat, 1, ext, spec)
-    box[...] = work
+    return work
 
 
 def pressure_factors(grid: GridSpec, eta: np.ndarray, extent: tuple[int, int]) -> StripFactors:
@@ -463,22 +504,29 @@ def pressure_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:
 
     Returns the minimum-norm solution, the one plain CG from zero converges
     to: zero outside the box and on its isolated corner node, zero mean over
-    the other box nodes.
+    the other box nodes.  With R the box's rows and k = (n2-1)//2+1, the
+    workspace is the contiguous box ``b``, R (n2-1) floats, ``spec``, R k
+    complex entries, and ``ext``, R k complex entries as well, so that it can
+    hold the twiddles broadcast to spec's shape.  The gauge's sum reads the
+    strided box through numpy's buffer of at most 8192 entries, as the sum
+    of the monolithic projection does.
     """
     n2 = rhs.shape[1] - 1
     p = np.zeros(rhs.shape)
     if not f.mult.size:
         return p
     r = rhs[f.rows, 1:]
-    b = p[f.rows, 1:n2]
+    b = np.empty((r.shape[0], n2 - 1))
     b[...] = r[:, :-1]
     b[:-1, -1] += r[:-1, -1]  # each leaf's equation, folded into its neighbour's
-    tw, twc = _twiddles(n2 - 1)
-    ext = np.empty(b.shape)
     spec = np.empty((b.shape[0], (n2 - 1) // 2 + 1), dtype=complex)
-    _cosine(b, 1, ext, spec, tw)
-    _eliminate(b, f)
-    _cosine_inverse(b, 1, ext, spec, twc)
+    table = np.empty_like(spec)
+    ext = table.view(float).reshape(-1)[: b.size].reshape(b.shape)
+    tw, twc = _twiddles(n2 - 1)
+    _cosine(b, 1, ext, spec, tw, table)
+    _eliminate(b, f.mult[:-1], f.inv_pivot)
+    _cosine_inverse(b, 1, ext, spec, twc, table)
+    p[f.rows, 1:n2] = b
     leaves = p[f.rows, n2]
     leaves[:-1] = b[:-1, -1] + f.leaf * r[:-1, -1]
     # the range projection acts on the block [1:, 1:] of its argument and
