@@ -44,15 +44,18 @@ class ConfigError(ValueError):
 
 # A one-step 401x401-node run holds NODE_BYTES per node monolithic (three
 # runs: 117.9-118.2 forced, 113.8-114.8 unforced), and a decomposed one at
-# most 127 + 39 m (STRIP_NODE_BYTES; it held 164.4, 172.9, 244.3, 401.9,
-# 721.9 and 1364.5 at m = 1, 2, 4, 8, 16 and 32, overlap 2, the largest of
-# three runs; per strip, two states and a pressure): ru_maxrss of a child
-# process, less that of one that only imports stokesdd.cli.  A run is
-# rejected before any field is allocated when it would need more than
-# MAX_NODES monolithic nodes do, 0.59 GB at most.
+# most 115 + 39 m (STRIP_NODE_BYTES; it held 153.9, 153.2, 221.2, 381.0,
+# 699.8 and 1340.6 at m = 1, 2, 4, 8, 16 and 32, overlap 2, the largest of
+# three runs from the manufactured and from a random start; per strip, two
+# states and a pressure): ru_maxrss of a child process, less that of one
+# that only imports stokesdd.cli, and for a random start also draws one
+# number: numpy.random loads about 6 MB of modules on its first use, the
+# same at every grid size.  A run is rejected before any field is
+# allocated when it would need more than MAX_NODES monolithic nodes do,
+# 0.59 GB at most.
 MAX_NODES = 2227 * 2227
 NODE_BYTES = 119
-STRIP_NODE_BYTES = (127, 39)
+STRIP_NODE_BYTES = (115, 39)
 
 # key -> (parser, default); the CLI exposes each key as --key
 _KEYS: dict[str, tuple] = {

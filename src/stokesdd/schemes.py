@@ -289,6 +289,17 @@ def pressure_projection(
     return u_new, PressureField.wrap(grid, parr)
 
 
+def _weigh(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """a <- w * a in place, for a contiguous ``a`` and a weight ``w`` that broadcasts against it.
+
+    ``w`` is first copied to a's shape, so that the product's operands have
+    one shape and one layout: numpy would buffer a broadcast operand.
+    """
+    table = np.empty_like(a)
+    np.copyto(table, w)
+    return np.multiply(table, a, out=a)
+
+
 def _rows(slab: tuple[slice, GridSpec] | None) -> tuple[int, int]:
     """First and past-last row of a slab's inner rows, where its stencils are exact; (0, 0) for None."""
     return (slab[0].start + 1, slab[0].stop - 1) if slab is not None else (0, 0)
@@ -308,7 +319,11 @@ def _sweep(
     stencil apply A(eta_a x_a) gives its residual, row a of the system, and
     the coupling of each later strip b, eta_b A(sum of the solved eta_a
     x_a); see _couple for how that sum is held.  The residual handed to
-    _direct is full-grid, zero off the strip's interior rows.
+    _direct is full-grid, zero off the strip's interior rows; the strip's
+    solution and apply are released before it.  The solution is copied once
+    into the field's (component, row, i2) order and every weight is copied to
+    the shape it multiplies (_weigh), so that no product has an operand numpy
+    would buffer.
     """
     grid = U.grid
     factors = part.sweep_factors(op.nu, tau)
@@ -330,24 +345,27 @@ def _sweep(
             continue
         if held is not None:
             band, coupled = held
-            x[:, band] -= (tau * eta[band]) * coupled
+            x[:, band] -= _weigh(tau * eta[band], coupled.copy())
         rows, (near, sub) = factors[a].rows, slab
         # x keeps the right-hand side on the solved rows until the residual is taken
-        solved = sweep_solve_rows(x, factors[a]).transpose(1, 0, 2)
-        own = eta[near] * x[:, near]
+        solved = sweep_solve_rows(x, factors[a]).transpose(1, 0, 2).copy()
+        own = x[:, near].copy()
         inner = slice(rows.start - near.start, rows.stop - near.start)
-        np.multiply(eta[rows], solved, out=own[:, inner])
-        applied = _viscous_raw(own, sub, op.nu)
+        own[:, inner] = solved
+        applied = _viscous_raw(_weigh(eta[near], own), sub, op.nu)
         del own
         r = np.zeros(x.shape)  # the residual, zero off the solved rows
-        own = np.multiply(applied[:, inner], 0.5 * tau * eta[rows], out=r[:, rows])
-        own += solved
-        own -= x[:, rows]
-        _direct(status, r, f"{what}, strip {a}")
-        del r, own  # not kept through the next strip's solve, where the step's memory peaks
+        res = r[:, rows]
+        np.copyto(res, 0.5 * tau * eta[rows])  # the weight, then the product in place
+        res *= applied[:, inner]
+        res += solved
+        res -= x[:, rows]
         x[:, rows] = solved
-        del solved
+        del solved, res  # res is a view: it would keep r
         held = _couple(out, part, order[k + 1 :], slab, applied, held)
+        del applied
+        _direct(status, r, f"{what}, strip {a}")
+        del r  # not kept through the next strip's solve, where the step's memory peaks
     return DecomposedVelocity.wrap(grid, out)
 
 
@@ -463,18 +481,17 @@ def dd_pressure_substeps(
         div = np.zeros(grid.shape)
         if slab is not None:
             near, sub = slab
-            _divergence_raw(eta[near] * x[:, near], sub, div[near])
+            _divergence_raw(_weigh(eta[near], x[:, near].copy()), sub, div[near])
         _record(status, "div_scale", div, grid)
         div[factors.rows] *= -(1.0 / tau)  # the solve reads the box only
         parr = pressure_solve(div, factors)
         del div
         r = np.zeros(grid.shape)
         if slab is not None:
-            grad = _gradient_raw(parr[near], sub)
-            grad *= tau * eta[near]
+            grad = _weigh(tau * eta[near], _gradient_raw(parr[near], sub))
             x[:, near.start + 1 : near.stop - 1] -= grad[:, 1:-1]
             del grad
-            _divergence_raw(eta[near] * x[:, near], sub, r[near])
+            _divergence_raw(_weigh(eta[near], x[:, near].copy()), sub, r[near])
         _direct(status, r, f"pressure substep, strip {a}")
         _record(status, "div_res", r, grid)
         del r  # as in _sweep

@@ -358,14 +358,17 @@ def _pressure_range(arr: np.ndarray) -> np.ndarray:
 class StripFactors:
     """Elimination factors of one strip's tridiagonal systems, one per x2 mode.
 
-    The systems live on the i1 rows ``rows`` of the strip's box; ``mult`` and
-    ``inv_pivot`` are (rows, modes).  ``leaf`` is h2^2 / eta^2 on the rows
-    whose last pressure node is a leaf, and is used by the pressure systems
-    only.
+    The systems live on the i1 rows ``rows`` of the strip's box.  One table
+    holds a value per row and mode, ``inv_pivot`` (rows, modes); ``off``
+    (rows-1, 1) holds the coupling of each row to the next, the same for
+    every mode.  The multipliers off * inv_pivot are not kept: each solve
+    forms them in memory its transforms leave idle.  ``leaf`` is
+    h2^2 / eta^2 on the rows whose last pressure node is a leaf, and is used
+    by the pressure systems only.
     """
 
     rows: slice
-    mult: np.ndarray
+    off: np.ndarray
     inv_pivot: np.ndarray
     leaf: np.ndarray | None = None
 
@@ -373,26 +376,30 @@ class StripFactors:
 def _factor(rows: slice, diag: np.ndarray, off: np.ndarray, leaf: np.ndarray | None = None) -> StripFactors:
     """Thomas factors of symmetric tridiagonal systems, one per column of ``diag``.
 
-    ``off[i]`` couples rows i and i+1 and broadcasts against a row of
-    ``diag``.  The systems are positive definite, so no pivoting is needed.
+    ``off[i]``, shape (1,), couples rows i and i+1 for every column.  Only
+    the inverse pivots are stored; each multiplier off[i] * inv_pivot[i] is
+    formed as the loop reaches it and dropped.  The systems are positive
+    definite, so no pivoting is needed.
     """
-    mult = np.zeros_like(diag)
-    inv = np.zeros_like(diag)
+    inv = np.empty_like(diag)
     for i in range(diag.shape[0]):
-        inv[i] = 1.0 / (diag[i] - mult[i - 1] * off[i - 1] if i else diag[0])
-        if i + 1 < diag.shape[0]:
-            mult[i] = off[i] * inv[i]
-    return StripFactors(rows, mult, inv, leaf)
+        inv[i] = 1.0 / (diag[i] - (off[i - 1] * inv[i - 1]) * off[i - 1] if i else diag[0])
+    return StripFactors(rows, off, inv, leaf)
 
 
-def _eliminate(b: np.ndarray, mult: np.ndarray, inv_pivot: np.ndarray) -> None:
+def _eliminate(b: np.ndarray, off: np.ndarray, inv_pivot: np.ndarray, mult: np.ndarray) -> None:
     """Solve factored systems in place along axis 0 of a contiguous ``b``.
 
-    ``inv_pivot`` has b's shape and ``mult`` that of all rows of b but the
-    last, so that no operation broadcasts: numpy would buffer a broadcast
-    operand.  The loop runs over rows, each a small array, so the rows are
-    taken as views once up front; one more row is the only allocation.
+    ``inv_pivot`` has b's shape; ``off`` broadcasts against all rows of b but
+    the last, and ``mult``, memory of that shape, is where the multipliers
+    off * inv_pivot are formed: a broadcast copy of ``off``, then a product
+    of one shape, so that no operation broadcasts: numpy would buffer a
+    broadcast operand.  The loop runs over rows, each a small array, so the
+    rows are taken as views once up front; one more row is the only
+    allocation.
     """
+    np.copyto(mult, off)
+    np.multiply(mult, inv_pivot[:-1], out=mult)
     rows, mult = list(b), list(mult)
     tmp = np.empty_like(rows[0])
     for i in range(1, len(rows)):
@@ -438,7 +445,7 @@ def sweep_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:
     one transform and one elimination sweep.
     """
     x = np.array(rhs, dtype=float)
-    if f.mult.size:
+    if f.inv_pivot.size:
         x[:, f.rows] = sweep_solve_rows(x, f).transpose(1, 0, 2)
     return x
 
@@ -449,11 +456,13 @@ def sweep_solve_rows(x: np.ndarray, f: StripFactors) -> np.ndarray:
     With R the strip's rows and w = n2+1, the workspace is all it allocates
     (but for one row of the elimination and the rows' views): the returned
     array, 2 R w floats, ``ext``, 4 R (w-1), and ``spec``, 2 R w complex
-    entries.  Between the two transforms ``spec`` is idle and holds the
-    factors broadcast to the shape of the solution.
+    entries.  The factors it reads are ``f.inv_pivot``, R w, and ``f.off``,
+    R-1.  Between the two transforms ``spec`` is idle: it holds the inverse
+    pivots broadcast to the shape of the solution, 2 R w floats, and the
+    multipliers _eliminate forms from them, 2 (R-1) w.
     """
     work = x[:, f.rows].transpose(1, 0, 2).copy()  # one contiguous block per row
-    if not f.mult.size:
+    if not f.inv_pivot.size:
         return work
     work[:, :, 0] = work[:, :, -1] = 0.0
     flat = work.reshape(-1, work.shape[-1])
@@ -463,9 +472,8 @@ def sweep_solve_rows(x: np.ndarray, f: StripFactors) -> np.ndarray:
     idle = spec.view(float).reshape(-1)
     mult = idle[: work[:-1].size].reshape(work[:-1].shape)
     inv_pivot = idle[mult.size : mult.size + work.size].reshape(work.shape)
-    np.copyto(mult, f.mult[:-1, None])
     np.copyto(inv_pivot, f.inv_pivot[:, None])
-    _eliminate(work, mult, inv_pivot)
+    _eliminate(work, f.off[:, None], inv_pivot, mult)
     _sine(flat, 1, ext, spec)
     return work
 
@@ -486,7 +494,7 @@ def pressure_factors(grid: GridSpec, eta: np.ndarray, extent: tuple[int, int]) -
     """
     lo, hi = _interior_rows(grid, extent)
     if hi < lo:
-        return StripFactors(slice(lo, lo), np.zeros((0, 0)), np.zeros((0, 0)))
+        return StripFactors(slice(lo, lo), np.zeros((0, 1)), np.zeros((0, 0)))
     hi += 1
     w = eta[lo : hi + 1] * eta[lo : hi + 1]
     flux = np.zeros(w.size + 1)
@@ -507,13 +515,16 @@ def pressure_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:
     the other box nodes.  With R the box's rows and k = (n2-1)//2+1, the
     workspace is the contiguous box ``b``, R (n2-1) floats, ``spec``, R k
     complex entries, and ``ext``, R k complex entries as well, so that it can
-    hold the twiddles broadcast to spec's shape.  The gauge's sum reads the
-    strided box through numpy's buffer of at most 8192 entries, as the sum
-    of the monolithic projection does.
+    hold the twiddles broadcast to spec's shape.  The factors it reads are
+    ``f.inv_pivot``, of b's shape, and ``f.off``, R-1; ``spec`` is idle
+    between the transforms and holds the multipliers, (R-1) (n2-1) floats,
+    while _eliminate runs.  The gauge's sum reads the strided box through
+    numpy's buffer of at most 8192 entries, as the sum of the monolithic
+    projection does.
     """
     n2 = rhs.shape[1] - 1
     p = np.zeros(rhs.shape)
-    if not f.mult.size:
+    if not f.inv_pivot.size:
         return p
     r = rhs[f.rows, 1:]
     b = np.empty((r.shape[0], n2 - 1))
@@ -524,7 +535,8 @@ def pressure_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:
     ext = table.view(float).reshape(-1)[: b.size].reshape(b.shape)
     tw, twc = _twiddles(n2 - 1)
     _cosine(b, 1, ext, spec, tw, table)
-    _eliminate(b, f.mult[:-1], f.inv_pivot)
+    mult = spec.view(float).reshape(-1)[: b[:-1].size].reshape(b[:-1].shape)  # spec is idle until the inverse
+    _eliminate(b, f.off, f.inv_pivot, mult)
     _cosine_inverse(b, 1, ext, spec, twc, table)
     p[f.rows, 1:n2] = b
     leaves = p[f.rows, n2]
