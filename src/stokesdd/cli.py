@@ -42,20 +42,21 @@ class ConfigError(ValueError):
     """Unknown keys, unparsable values, or infeasible settings."""
 
 
-# A one-step 401x401-node run holds NODE_BYTES per node monolithic (three
-# runs: 117.9-118.2 forced, 113.8-114.8 unforced), and a decomposed one at
-# most 115 + 39 m (STRIP_NODE_BYTES; it held 153.9, 153.2, 221.2, 381.0,
-# 699.8 and 1340.6 at m = 1, 2, 4, 8, 16 and 32, overlap 2, the largest of
-# three runs from the manufactured and from a random start; per strip, two
-# states and a pressure): ru_maxrss of a child process, less that of one
-# that only imports stokesdd.cli, and for a random start also draws one
-# number: numpy.random loads about 6 MB of modules on its first use, the
-# same at every grid size.  A run is rejected before any field is
-# allocated when it would need more than MAX_NODES monolithic nodes do,
-# 0.59 GB at most.
-MAX_NODES = 2227 * 2227
-NODE_BYTES = 119
-STRIP_NODE_BYTES = (115, 39)
+# A three-step 401x401-node run holds NODE_BYTES per node monolithic (at
+# most 132.5 from the manufactured start, 123.4 from a random one), and a
+# decomposed one at most 126 + 47 m (STRIP_NODE_BYTES; it held 171.0,
+# 183.2, 253.4, 444.9, 827.3 and 1595.3 at m = 1, 2, 4, 8, 16 and 32,
+# overlap 2, the largest of three runs from the manufactured and from a
+# random start; per strip, two states, a pressure and, from the second
+# step on, the previous step's pressure): ru_maxrss of a child process,
+# less that of one that only imports stokesdd.cli, and for a random start
+# also draws one number: numpy.random loads about 6 MB of modules on its
+# first use, the same at every grid size.  A one-step run holds less.  A
+# run is rejected before any field is allocated when it would need more
+# than MAX_NODES monolithic nodes do, 0.59 GB at most.
+MAX_NODES = 2098 * 2098
+NODE_BYTES = 134
+STRIP_NODE_BYTES = (126, 47)
 
 # key -> (parser, default); the CLI exposes each key as --key
 _KEYS: dict[str, tuple] = {

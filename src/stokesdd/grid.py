@@ -13,12 +13,19 @@ Velocity components vanish on the boundary; pressure is defined on the
 pressure set only.  Fields store the full node rectangle so stencil code can
 use plain array slices; entries outside a field's node set are kept at zero.
 
-A velocity is one array of shape (2, n1+1, n2+1), component first; the
-stencil kernels and the solvers work on that array directly, and ``u1`` and
-``u2`` are views into it.  A decomposed velocity stacks one such array per
-strip into an (m, 2, n1+1, n2+1) array.  The dense assembly path in
-``operators`` does not use this layout: it flattens fields into its own
-canonical vectors, so it stays an independent check on the stencil path.
+The three field types (the grid-function spaces of the scheme) share one
+contract: a field is ``grid`` and one float array ``data``, its leading axes
+ahead of the node rectangle.  A velocity is a (2, n1+1, n2+1) array,
+component first, with ``u1`` and ``u2`` views into it; a pressure is an
+(n1+1, n2+1) array, also named ``p``; a decomposed velocity stacks one
+velocity per strip into an (m, 2, n1+1, n2+1) array, and builds its
+per-strip VelocityField views ``components`` on first access.  Constructors
+copy; ``wrap`` adopts an array without copying, after checking its shape
+and zeroing it outside the node set in place; ``zeros`` and ``copy`` make
+new arrays.  The stencil kernels and the solvers work on ``data`` directly.
+The dense assembly path in ``operators`` does not use this layout: it
+flattens fields into its own canonical vectors, so it stays an independent
+check on the stencil path.
 
 Inner products integrate with the cell weight h1*h2 over the owning node set.
 """
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,47 +96,79 @@ def make_grid(l1: float, l2: float, n1: int, n2: int) -> GridSpec:
     return GridSpec(l1=float(l1), l2=float(l2), n1=n1, n2=n2, h1=l1 / n1, h2=l2 / n2)
 
 
-def _as_field_array(grid: GridSpec, data: np.ndarray | None, copy: bool = True) -> np.ndarray:
+def _as_field_array(grid: GridSpec, data: np.ndarray | None) -> np.ndarray:
+    """A float copy of ``data`` (zeros for None) of the grid's node shape."""
     if data is None:
         return np.zeros(grid.shape)
-    arr = np.array(data, dtype=float, copy=copy)
+    arr = np.array(data, dtype=float)
     if arr.shape != grid.shape:
         raise GridMismatchError(f"array shape {arr.shape} does not match grid {grid.shape}")
     return arr
 
 
-class VelocityField:
+class _GridFunction:
+    """A grid function: ``grid`` and one float array ``data``, zero outside the node set.
+
+    A subclass states only its leading axes ``_lead``, ahead of the two node
+    axes (None is a strip count m >= 1, taken from the array), and the lines
+    outside its node set, ``_outside``, as index expressions into ``data``.
+    Constructors copy their input; ``wrap`` adopts an array.
+    """
+
+    _lead: tuple[int | None, ...] = ()
+    _outside: tuple = ()
+
+    def __init__(self, grid: GridSpec, data: np.ndarray) -> None:
+        m = len(data) if data.ndim else 0  # the strip count, where _lead leaves it open
+        shape = self._shape(grid, m)
+        if not m or data.shape != shape:
+            raise GridMismatchError(f"array shape {data.shape} does not match grid {shape}")
+        for line in self._outside:
+            data[line] = 0.0
+        self.grid, self.data = grid, data
+
+    @classmethod
+    def _shape(cls, grid: GridSpec, m: int) -> tuple[int, ...]:
+        return tuple(m if k is None else k for k in cls._lead) + grid.shape
+
+    @classmethod
+    def wrap(cls, grid: GridSpec, data: np.ndarray):
+        """Use a float array of the field's shape as the field, without copying.
+
+        Its entries outside the node set are set to zero in place; a wrong
+        shape raises GridMismatchError.
+        """
+        field = cls.__new__(cls)
+        _GridFunction.__init__(field, grid, data)
+        return field
+
+    @classmethod
+    def zeros(cls, grid: GridSpec):
+        """The zero field on a new array (of one strip for a DecomposedVelocity)."""
+        return cls.wrap(grid, np.zeros(cls._shape(grid, 1)))
+
+    def copy(self):
+        return self.wrap(self.grid, self.data.copy())
+
+
+_BOUNDARY = (np.s_[..., 0, :], np.s_[..., -1, :], np.s_[..., 0], np.s_[..., -1])
+
+
+class VelocityField(_GridFunction):
     """Both velocity components in one (2, n1+1, n2+1) array, zero on the boundary.
 
     ``data[0]`` and ``data[1]`` are the components; ``u1`` and ``u2`` are views
     of them, so a write through either name is a write to ``data``.
     Construction from two component arrays copies them and leaves the
     boundary at zero, so every VelocityField satisfies the no-slip constraint
-    by construction; ``wrap`` takes ownership of a stacked array instead.
+    by construction.
     """
 
+    _lead = (2,)
+    _outside = _BOUNDARY
+
     def __init__(self, grid: GridSpec, u1: np.ndarray | None, u2: np.ndarray | None) -> None:
-        self.grid = grid
-        self.data = np.zeros((2,) + grid.shape)
-        for comp, values in zip(self.data, (u1, u2)):
-            comp[1:-1, 1:-1] = _as_field_array(grid, values)[1:-1, 1:-1]
-
-    @classmethod
-    def wrap(cls, grid: GridSpec, data: np.ndarray) -> "VelocityField":
-        """Use a stacked (2, n1+1, n2+1) float array as the field, without copying.
-
-        The boundary entries of ``data`` are set to zero in place.
-        """
-        if data.shape != (2,) + grid.shape:
-            raise GridMismatchError(f"array shape {data.shape} does not match grid {(2,) + grid.shape}")
-        data[:, 0, :] = 0.0
-        data[:, -1, :] = 0.0
-        data[:, :, 0] = 0.0
-        data[:, :, -1] = 0.0
-        field = cls.__new__(cls)
-        field.grid = grid
-        field.data = data
-        return field
+        super().__init__(grid, np.stack([_as_field_array(grid, values) for values in (u1, u2)]))
 
     @property
     def u1(self) -> np.ndarray:
@@ -138,77 +178,46 @@ class VelocityField:
     def u2(self) -> np.ndarray:
         return self.data[1]
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "VelocityField":
-        return cls.wrap(grid, np.zeros((2,) + grid.shape))
 
-    def copy(self) -> "VelocityField":
-        return VelocityField.wrap(self.grid, self.data.copy())
-
-
-@dataclass
-class PressureField:
+class PressureField(_GridFunction):
     """Scalar field on the pressure nodes (i_a = 1..n_a).
 
-    The stored array covers the full node rectangle; the lines i1 = 0 and
+    ``p`` is the stored (n1+1, n2+1) array, ``data``; the lines i1 = 0 and
     i2 = 0 are outside the pressure set and are kept at zero.
     """
 
-    grid: GridSpec
-    p: np.ndarray
+    _outside = (np.s_[0, :], np.s_[:, 0])
 
-    def __post_init__(self, copy: bool = True) -> None:
-        self.p = _as_field_array(self.grid, self.p, copy)
-        self.p[0, :] = 0.0
-        self.p[:, 0] = 0.0
+    def __init__(self, grid: GridSpec, p: np.ndarray | None) -> None:
+        super().__init__(grid, _as_field_array(grid, p))
 
-    @classmethod
-    def wrap(cls, grid: GridSpec, p: np.ndarray) -> "PressureField":
-        """Adopt an (n1+1, n2+1) float array without copying, as VelocityField.wrap does; its lines i1 = 0 and i2 = 0 are zeroed in place."""
-        field = cls.__new__(cls)
-        field.grid, field.p = grid, p
-        field.__post_init__(copy=False)
-        return field
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "PressureField":
-        return cls.wrap(grid, np.zeros(grid.shape))
-
-    def copy(self) -> "PressureField":
-        return PressureField.wrap(self.grid, self.p.copy())
+    @property
+    def p(self) -> np.ndarray:
+        return self.data
 
 
-class DecomposedVelocity:
+class DecomposedVelocity(_GridFunction):
     """Per-strip velocities stacked in one (m, 2, n1+1, n2+1) array, zero on the boundary.
 
-    ``components[a]`` is a VelocityField view of strip a's velocity ``data[a]``.
-    The list constructor stacks (copies) its fields; ``wrap`` adopts a stacked array.
+    ``components[a]`` is a VelocityField view of strip a's velocity ``data[a]``,
+    made on first access.  The list constructor stacks (copies) its fields.
     """
+
+    _lead = (None, 2)
+    _outside = _BOUNDARY
 
     def __init__(self, components: list[VelocityField]) -> None:
         if not components or any(comp.grid != components[0].grid for comp in components):
             raise GridMismatchError("need one or more components, all on one grid")
-        self._adopt(components[0].grid, np.stack([comp.data for comp in components]))
+        super().__init__(components[0].grid, np.stack([comp.data for comp in components]))
 
-    @classmethod
-    def wrap(cls, grid: GridSpec, data: np.ndarray) -> "DecomposedVelocity":
-        """Adopt a stacked (m, 2, n1+1, n2+1) float array, m >= 1, without copying; its boundary is zeroed in place."""
-        if data.ndim != 4 or not len(data) or data.shape[1:] != (2,) + grid.shape:
-            raise GridMismatchError(f"array shape {data.shape} does not match grid (m, 2) + {grid.shape}")
-        state = cls.__new__(cls)
-        state._adopt(grid, data)
-        return state
-
-    def _adopt(self, grid: GridSpec, data: np.ndarray) -> None:
-        self.grid, self.data = grid, data
-        self.components = [VelocityField.wrap(grid, comp) for comp in data]  # each view zeroes its boundary
+    @cached_property
+    def components(self) -> list[VelocityField]:
+        return [VelocityField.wrap(self.grid, x) for x in self.data]
 
     @property
     def m(self) -> int:
         return len(self.data)
-
-    def copy(self) -> "DecomposedVelocity":
-        return DecomposedVelocity.wrap(self.grid, self.data.copy())
 
 
 def _require_same_grid(a, b) -> None:
@@ -223,8 +232,12 @@ def dot_velocity(a: VelocityField, b: VelocityField) -> float:
     arrays without changing the value.
     """
     _require_same_grid(a, b)
-    s = float(np.sum(a.u1 * b.u1)) + float(np.sum(a.u2 * b.u2))
-    return a.grid.cell_area * s
+    return _dot_stacked(a.grid, a.data, b.data)
+
+
+def _dot_stacked(grid: GridSpec, x: np.ndarray, y: np.ndarray) -> float:
+    """h1*h2 times the sum of x*y over both components of (2, n1+1, n2+1) arrays."""
+    return grid.cell_area * (float(np.sum(x[0] * y[0])) + float(np.sum(x[1] * y[1])))
 
 
 def norm_velocity(a: VelocityField) -> float:
@@ -254,10 +267,11 @@ def deflate_pressure(p: PressureField) -> PressureField:
 
 
 def dot_decomposed(a: DecomposedVelocity, b: DecomposedVelocity) -> float:
-    """Product-space inner product: sum of the componentwise velocity dots."""
+    """Product-space inner product: the strips' velocity dots, summed in strip order."""
     if a.m != b.m:
         raise GridMismatchError(f"component counts differ: {a.m} vs {b.m}")
-    return sum(dot_velocity(ca, cb) for ca, cb in zip(a.components, b.components))
+    _require_same_grid(a, b)
+    return sum(_dot_stacked(a.grid, x, y) for x, y in zip(a.data, b.data))
 
 
 def norm_decomposed(a: DecomposedVelocity) -> float:

@@ -29,7 +29,7 @@ from .grid import (
     PressureField,
     VelocityField,
     norm_decomposed,
-    norm_pressure,
+    norm_pressure,  # not called here; perfbench/layers.py wraps the norms by their names in this module
     norm_velocity,
 )
 from .linsolve import NumericalBreakdownError, SolveConfig, SolveReport, cg_solve
@@ -185,9 +185,13 @@ def energy_estimate(mode: str, tau: float, nu_delta_h: float | None = None) -> t
 
 
 def _record(status: dict | None, key: str, div: np.ndarray, grid: GridSpec) -> None:
-    """Keep in status[key] the largest norm_pressure of the divergences recorded under it."""
+    """Keep in status[key] the largest pressure norm of the divergences recorded under it.
+
+    The norm is norm_pressure's arithmetic on ``div`` itself, which is zero
+    outside the pressure nodes already and is not written to.
+    """
     if status is not None:
-        norm = norm_pressure(PressureField.wrap(grid, div))
+        norm = math.sqrt(grid.cell_area * float(np.sum(div * div)))
         status[key] = max(status.get(key, norm), norm)
 
 
