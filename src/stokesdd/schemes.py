@@ -160,6 +160,16 @@ class StepReport:
 
 @dataclass
 class RunResult:
+    """What run returns: the reports of the completed steps, and the fields of the last one.
+
+    ``velocity`` is the last completed step's velocity (the initial one if
+    none completed); a decomposed run also gives its strip velocities as
+    ``state``.  ``pressure`` (monolithic) or ``pressures`` (decomposed, one
+    full-grid field per strip) are those of the last completed step, None if
+    none completed.  completed is False, and ``message`` says why, when a
+    solver failure stopped the run early.
+    """
+
     config: SchemeConfig
     reports: list[StepReport]
     velocity: VelocityField
@@ -575,7 +585,15 @@ def run(cfg: SchemeConfig) -> RunResult:
     """Advance from the initial state to t_final, collecting step reports.
 
     A solver failure aborts the run; the partial report series is returned
-    with completed False rather than raised away.
+    with completed False rather than raised away, and with the velocity and
+    pressures of the last completed step (None pressures if none completed).
+
+    Between decomposed steps, each strip pressure is held as a copy of its
+    box rows only (``pressure_factors[a].rows``): it is +0.0 on every other
+    row, so the full fields are rebuilt, bit for bit, once on return.  The
+    next step's strip pressures are built while only these boxes, about
+    one plane for all strips, are alive.  The monolithic pressure has no
+    box and is held whole.
     """
     monolithic = cfg.scheme == "monolithic"
     # looked up per call, so a caller may patch the module's step functions
@@ -588,8 +606,19 @@ def run(cfg: SchemeConfig) -> RunResult:
         for n in range(cfg.n_steps):
             state, pressure, rep = step_fn(state, n * cfg.tau, cfg, step=n + 1)
             reports.append(rep)
+            if not monolithic:
+                pressure = [p.p[f.rows].copy() for p, f in zip(pressure, cfg.partition.pressure_factors)]
     except (UnconvergedSolveError, NumericalBreakdownError) as exc:
         completed, message = False, str(exc)
     if monolithic:
         return RunResult(cfg, reports, state, None, pressure, None, completed, message)
+    if pressure is not None:
+        pressure = [_expand(cfg.grid, box, f.rows) for box, f in zip(pressure, cfg.partition.pressure_factors)]
     return RunResult(cfg, reports, recompose(cfg.partition, state), state, None, pressure, completed, message)
+
+
+def _expand(grid: GridSpec, box: np.ndarray, rows: slice) -> PressureField:
+    """The full strip pressure whose box rows ``rows`` are ``box`` and every other node +0.0."""
+    p = np.zeros(grid.shape)
+    p[rows] = box
+    return PressureField.wrap(grid, p)
