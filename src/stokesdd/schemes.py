@@ -29,10 +29,10 @@ from .grid import (
     PressureField,
     VelocityField,
     norm_decomposed,
-    norm_pressure,  # not called here; perfbench/layers.py wraps the norms by their names in this module
+    norm_pressure,
     norm_velocity,
 )
-from .linsolve import NumericalBreakdownError, SolveConfig, SolveReport, cg_solve
+from .linsolve import NumericalBreakdownError, SolveConfig, SolveReport, _dot, cg_solve
 from .operators import (
     ViscousOperator,
     _divergence_raw,
@@ -197,11 +197,11 @@ def energy_estimate(mode: str, tau: float, nu_delta_h: float | None = None) -> t
 def _record(status: dict | None, key: str, div: np.ndarray, grid: GridSpec) -> None:
     """Keep in status[key] the largest pressure norm of the divergences recorded under it.
 
-    The norm is norm_pressure's arithmetic on ``div`` itself, which is zero
-    outside the pressure nodes already and is not written to.
+    ``div`` is wrapped as a PressureField, which changes no value: every
+    divergence recorded is +0.0 on the lines i1 = 0 and i2 = 0 already.
     """
     if status is not None:
-        norm = math.sqrt(grid.cell_area * float(np.sum(div * div)))
+        norm = norm_pressure(PressureField.wrap(grid, div))
         status[key] = max(status.get(key, norm), norm)
 
 
@@ -219,10 +219,11 @@ def _direct(status: dict | None, r: np.ndarray, what: str) -> None:
 
     A non-finite residual raises NumericalBreakdownError.
     """
-    res = math.sqrt(float(np.dot(r.ravel(), r.ravel())))
+    res = math.sqrt(_dot(r, r))
     if not math.isfinite(res):
         raise NumericalBreakdownError(f"{what}: residual norm is {res}")
-    _tally(status, SolveReport(iterations=0, residual=res, converged=True), what)
+    if status is not None:
+        status.setdefault("cg_iters", 0)
 
 
 def viscous_step_monolithic(
@@ -342,8 +343,9 @@ def _sweep(
     grid = U.grid
     factors = part.sweep_factors(op.nu, tau)
     if F_half is None:
-        out = U.data.copy() if out is None else out
-        if out is not U.data:
+        if out is None:
+            out = U.data.copy()
+        elif out is not U.data:
             np.copyto(out, U.data)
     elif out is U.data:
         for o, f in zip(out, F_half.data):
@@ -359,7 +361,12 @@ def _sweep(
             continue
         if held is not None:
             band, coupled = held
-            x[:, band] -= _weigh(tau * eta[band], coupled.copy())
+            if k + 1 < len(order):  # _couple adds the band to this strip's sum
+                coupled = coupled.copy()
+            else:  # the last strip: weighed in place and released before its solve
+                held = None
+            x[:, band] -= _weigh(tau * eta[band], coupled)
+            del coupled
         rows, (near, sub) = factors[a].rows, slab
         # x keeps the right-hand side on the solved rows until the residual is taken
         solved = sweep_solve_rows(x, factors[a]).transpose(1, 0, 2).copy()

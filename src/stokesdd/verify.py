@@ -134,6 +134,9 @@ def error_norms(numeric: VelocityField, exact: VelocityField) -> float:
 
 # -- stability monitors
 
+REL_SLACK = 1e-10
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Outcome of replaying the per-step energy estimates over a run."""
@@ -151,16 +154,15 @@ def check_stability(
     tau: float,
     mode: str,
     nu_delta_h: float | None = None,
-    rel_slack: float = 1e-10,
 ) -> StabilityReport:
     """Replay the per-step bounds over a report series.
 
     Each step must satisfy the scheme's energy estimate (see
     schemes.energy_estimate, which needs nu_delta_h in monolithic mode), and
     so must the cumulative unrolling of it from the first state.  Steps
-    without forcing must also be plainly non-increasing.  Margins are
-    normalized by the bound; a step passes when its margin is at least
-    -rel_slack.
+    without forcing must also be plainly non-increasing, up to a factor
+    1 + REL_SLACK.  Margins are normalized by the bound; a step passes when
+    its margin is at least -REL_SLACK.
     """
     growth, weight = energy_estimate(mode, tau, nu_delta_h)
     margins: list[float] = []
@@ -172,7 +174,7 @@ def check_stability(
         bound = growth * rep.norm_state**2 + weight * rep.norm_forcing**2
         scale = max(bound, 1e-300)
         margins.append((bound - rep.norm_end**2) / scale)
-        if rep.norm_forcing == 0.0 and rep.norm_end > rep.norm_state * (1.0 + rel_slack):
+        if rep.norm_forcing == 0.0 and rep.norm_end > rep.norm_state * (1.0 + REL_SLACK):
             monotone_ok = False
             message = f"norm grew without forcing at step {rep.step}"
 
@@ -181,9 +183,9 @@ def check_stability(
         cumulative.append((running - rep.norm_end**2) / cscale)
 
     worst = min(margins + cumulative, default=0.0)
-    passed = monotone_ok and worst >= -rel_slack
+    passed = monotone_ok and worst >= -REL_SLACK
     if not passed and not message:
-        message = f"worst normalized margin {worst:.3e} below -{rel_slack:.1e}"
+        message = f"worst normalized margin {worst:.3e} below -{REL_SLACK:.1e}"
     return StabilityReport(
         passed=passed,
         worst_margin=worst,
