@@ -53,8 +53,11 @@ class ConfigError(ValueError):
 # modules on its first use, the same at every grid size.  From step 2 on
 # a run also holds the previous step's pressure, whole when monolithic
 # and on its box rows per strip (about one plane for all strips, see
-# schemes.run), so a one-step run holds less.  A run is rejected before
-# any field is allocated when it would need more than MAX_NODES
+# schemes.run), so a one-step run holds less.  A later host reads less
+# for the same monolithic runs (133.3 from the manufactured start, where
+# the third step's viscous solve sets the peak, and 116.9 from a random
+# one); NODE_BYTES keeps the larger figure above.  A run is rejected
+# before any field is allocated when it would need more than MAX_NODES
 # monolithic nodes do, 0.59 GB at most.
 MAX_NODES = 2067 * 2067
 NODE_BYTES = 138

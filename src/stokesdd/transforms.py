@@ -287,15 +287,13 @@ def cosine_pressure_system(grid: GridSpec) -> tuple[Callable[[np.ndarray], np.nd
     residual would otherwise drift into the kernel, along the corner delta
     that the physical stencil leaves exactly zero.  Each rank-two update is
     one (n1, 2) by (2, n2) matrix product, much faster than two outer
-    products.  The diagonal, its inverse, the factors of the updates and two
-    (n1, n2) buffers are built here, once per solve: ``work`` holds the output
-    of apply and then of precondition, and ``rank2`` every rank-two product.
+    products.  The diagonal, the factors of the updates and two (n1, n2)
+    buffers are built here, once per solve: ``work`` holds the output of
+    apply and then of precondition, which forms the inverse diagonal there
+    before it multiplies, and ``rank2`` every rank-two product.
     """
     _, q1, lam1, _, q2, lam2 = _cosine_basis(grid)
     den = lam1[:, None] + lam2
-    den[0, 0] = math.inf
-    inv = 1.0 / den
-    den[0, 0] = 0.0
     size = grid.n1 * grid.n2
     root = math.sqrt(size)
     # factors of the rank-two updates, their fixed columns and rows set once
@@ -328,7 +326,12 @@ def cosine_pressure_system(grid: GridSpec) -> tuple[Callable[[np.ndarray], np.nd
         return project(out)
 
     def precondition(r: np.ndarray) -> np.ndarray:
-        return np.multiply(inv, r, out=work)
+        # 1 / den is formed in work on each call, not held between calls;
+        # den[0, 0] is inf for the division only, so mode (0, 0) gets +0.0
+        den[0, 0] = math.inf
+        np.divide(1.0, den, out=work)
+        den[0, 0] = 0.0
+        return np.multiply(work, r, out=work)
 
     return apply, precondition, project
 
