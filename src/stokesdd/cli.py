@@ -42,26 +42,26 @@ class ConfigError(ValueError):
     """Unknown keys, unparsable values, or infeasible settings."""
 
 
-# A three-step 401x401-node run holds NODE_BYTES per node monolithic (at
-# most 136.6 from the manufactured start, 133.1 from a random one), and a
-# decomposed one at most 134 + 39 m (STRIP_NODE_BYTES; it held 171.8,
-# 173.5, 235.6, 394.7, 716.0 and 1355.8 at m = 1, 2, 4, 8, 16 and 32,
-# overlap 2, the largest of three runs from the manufactured and from a
-# random start; per strip, two states and a pressure): ru_maxrss of a
-# child process, less that of one that only imports stokesdd.cli, and for
-# a random start also draws one number: numpy.random loads about 6 MB of
-# modules on its first use, the same at every grid size.  From step 2 on
-# a run also holds the previous step's pressure, whole when monolithic
-# and on its box rows per strip (about one plane for all strips, see
-# schemes.run), so a one-step run holds less.  A later host reads less
-# for the same monolithic runs (133.3 from the manufactured start, where
-# the third step's viscous solve sets the peak, and 116.9 from a random
-# one); NODE_BYTES keeps the larger figure above.  A run is rejected
-# before any field is allocated when it would need more than MAX_NODES
-# monolithic nodes do, 0.59 GB at most.
-MAX_NODES = 2067 * 2067
-NODE_BYTES = 138
-STRIP_NODE_BYTES = (134, 39)
+# A run is rejected before any field is allocated when it would need more
+# than MAX_NODES monolithic nodes do, 0.59 GB at most: a monolithic run
+# counts NODE_BYTES per node, a decomposed one base + per_strip * m
+# (STRIP_NODE_BYTES).  Measured on three-step 401x401-node runs, tau 0.01,
+# overlap 2, manufactured forcing, from the manufactured and from a random
+# start: ru_maxrss of the child process, less that of a child that only
+# imports stokesdd.cli and, for a random start, draws one number
+# (numpy.random loads about 6 MB of modules on first use, the same at every
+# grid size).  The largest of three runs in each of two batches, in bytes
+# per node: monolithic 132.7; m = 1, 2, 4, 8, 16, 32: 176.6, 185.9, 240.5,
+# 398.8, 717.8, 1351.5.  The same run reads up to a fifth apart from one
+# batch or machine to the next (m = 1 from a random start 160.6 to 185.7,
+# monolithic from a random start 114.2 to 139.2), so each constant lies
+# above the highest reading.  From step 2 on a run also holds the previous
+# step's pressure, whole when monolithic and on its box rows per strip
+# (about one plane for all strips, see schemes.run), so a one-step run
+# holds less.
+MAX_NODES = 2037 * 2037
+NODE_BYTES = 142
+STRIP_NODE_BYTES = (148, 38)
 
 # key -> (parser, default); the CLI exposes each key as --key
 _KEYS: dict[str, tuple] = {

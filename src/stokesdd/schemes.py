@@ -217,9 +217,11 @@ def _tally(status: dict | None, report: SolveReport, what: str) -> None:
 def _direct(status: dict | None, r: np.ndarray, what: str) -> None:
     """Report a direct solve: its true residual ``r``, zero iterations.
 
-    A non-finite residual raises NumericalBreakdownError.
+    A non-finite residual, an overflowing norm included, raises
+    NumericalBreakdownError.
     """
-    res = math.sqrt(_dot(r, r))
+    with np.errstate(over="ignore"):
+        res = math.sqrt(_dot(r, r))
     if not math.isfinite(res):
         raise NumericalBreakdownError(f"{what}: residual norm is {res}")
     if status is not None:
@@ -305,14 +307,12 @@ def pressure_projection(
 
 
 def _weigh(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """a <- w * a in place, for a contiguous ``a`` and a weight ``w`` that broadcasts against it.
+    """a <- a * w in place, for a contiguous ``a`` and a weight ``w`` that broadcasts against it.
 
-    ``w`` is first copied to a's shape, so that the product's operands have
-    one shape and one layout: numpy would buffer a broadcast operand.
+    numpy buffers the broadcast ``w`` in at most np.getbufsize() entries
+    (64 kB of float64), less than a copy of ``w`` to a's shape would take.
     """
-    table = np.empty_like(a)
-    np.copyto(table, w)
-    return np.multiply(table, a, out=a)
+    return np.multiply(a, w, out=a)
 
 
 def _rows(slab: tuple[slice, GridSpec] | None) -> tuple[int, int]:
@@ -336,9 +336,9 @@ def _sweep(
     x_a); see _couple for how that sum is held.  The residual handed to
     _direct is full-grid, zero off the strip's interior rows; the strip's
     solution and apply are released before it.  The solution is copied once
-    into the field's (component, row, i2) order and every weight is copied to
-    the shape it multiplies (_weigh), so that no product has an operand numpy
-    would buffer.
+    into the field's (component, row, i2) order, so that no product has a
+    non-contiguous or reversed operand; a broadcast weight is left to numpy's
+    buffer (_weigh).
     """
     grid = U.grid
     factors = part.sweep_factors(op.nu, tau)
