@@ -239,9 +239,9 @@ def viscous_step_monolithic(
     """Implicit viscous step: solve (E + tau A) u_star = u + tau f directly.
 
     A 2-D sine transform diagonalizes the system, so no iteration is needed;
-    ``solver`` is not used.  ``u`` and ``f_half`` are not written to: a
-    forced u + tau f is formed in the new array solved in place and
-    returned, and once more for the residual, after the solve's workspace is
+    ``solver`` is not used.  ``u`` and ``f_half`` are not written to: u, or
+    u + tau f, is formed in a new array and solved in place, and the forced
+    u + tau f once more for the residual, after the solve's workspace is
     freed.  The true residual, from one stencil apply, is reported with zero
     iterations, and a non-finite one raises NumericalBreakdownError.
     """
@@ -251,11 +251,8 @@ def viscous_step_monolithic(
         rhs = np.multiply(f_half.data, tau)
         return np.add(rhs, u.data, out=rhs)
 
-    if f_half is None:
-        x = dirichlet_solve(u.data, grid, op.nu, tau)
-    else:
-        x = forced_rhs()
-        dirichlet_solve(x, grid, op.nu, tau, out=x)
+    x = u.data.copy() if f_half is None else forced_rhs()
+    dirichlet_solve(x, grid, op.nu, tau, out=x)
     r = _viscous_raw(x, grid, op.nu)
     r *= tau
     r += x
@@ -307,17 +304,12 @@ def pressure_projection(
 
 
 def _weigh(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """a <- a * w in place, for a contiguous ``a`` and a weight ``w`` that broadcasts against it.
+    """a <- a * w in place, for a weight ``w`` that broadcasts against ``a``.
 
     numpy buffers the broadcast ``w`` in at most np.getbufsize() entries
     (64 kB of float64), less than a copy of ``w`` to a's shape would take.
     """
     return np.multiply(a, w, out=a)
-
-
-def _rows(slab: tuple[slice, GridSpec] | None) -> tuple[int, int]:
-    """First and past-last row of a slab's inner rows, where its stencils are exact; (0, 0) for None."""
-    return (slab[0].start + 1, slab[0].stop - 1) if slab is not None else (0, 0)
 
 
 def _sweep(
@@ -333,11 +325,12 @@ def _sweep(
     each strip works on its rows ± 1 (``part.slabs``).  Strip a's one
     stencil apply A(eta_a x_a) gives its residual, row a of the system, and
     the coupling of each later strip b, eta_b A(sum of the solved eta_a
-    x_a); see _couple for how that sum is held.  The residual handed to
-    _direct is full-grid, zero off the strip's interior rows; the strip's
-    solution and apply are released before it.  The solution is copied once
-    into the field's (component, row, i2) order, so that no product has a
-    non-contiguous or reversed operand; a broadcast weight is left to numpy's
+    x_a); _couple adds each apply to that sum and takes it off the later
+    strips as soon as it is formed.  The residual handed to _direct is
+    full-grid, zero off the strip's interior rows; the strip's solution and
+    apply are released before it.  The solution is copied once into the
+    field's (component, row, i2) order, so that its products have no
+    transposed or reversed operand; a broadcast weight is left to numpy's
     buffer (_weigh).
     """
     grid = U.grid
@@ -356,17 +349,9 @@ def _sweep(
     held = None
     for k, a in enumerate(order):
         eta, x, slab = part.eta[a], out[a], part.slabs[a]
-        if slab is None:  # no interior row: nothing to solve, and held is None
+        if slab is None:  # no interior row: nothing to solve, and no window to add to the sum
             _direct(status, np.zeros(x.shape), f"{what}, strip {a}")
             continue
-        if held is not None:
-            band, coupled = held
-            if k + 1 < len(order):  # _couple adds the band to this strip's sum
-                coupled = coupled.copy()
-            else:  # the last strip: weighed in place and released before its solve
-                held = None
-            x[:, band] -= _weigh(tau * eta[band], coupled)
-            del coupled
         rows, (near, sub) = factors[a].rows, slab
         # x keeps the right-hand side on the solved rows until the residual is taken
         solved = sweep_solve_rows(x, factors[a]).transpose(1, 0, 2).copy()
@@ -383,7 +368,7 @@ def _sweep(
         res -= x[:, rows]
         x[:, rows] = solved
         del solved, res  # res is a view: it would keep r
-        held = _couple(out, part, order[k + 1 :], slab, applied, held)
+        held = _couple(out, part, order[k + 1 :], slab, applied, held, tau)
         del applied
         _direct(status, r, f"{what}, strip {a}")
         del r  # not kept through the next strip's solve, where the step's memory peaks
@@ -391,28 +376,34 @@ def _sweep(
 
 
 def _couple(out: np.ndarray, part: Partition, later: range, slab: tuple[slice, GridSpec], applied: np.ndarray,
-            held: tuple[slice, np.ndarray] | None) -> tuple[slice, np.ndarray] | None:
-    """Add a solved strip's apply to the coupling sum; hand on what the next strip needs.
+            held: tuple[slice, np.ndarray] | None, tau: float) -> tuple[slice, np.ndarray] | None:
+    """Add a solved strip's apply to the coupling sum and take the sum off the later strips.
 
     The full-grid sweep keeps coupled, the sum of the solved strips'
     A(eta x), from +0.0 and takes tau eta_b coupled off every later strip b
-    on every row.  Here the sum covers the inner rows of ``slab``, where
-    ``applied`` is exact, plus the rows ``held`` from the strip before.  As
-    the windows run in order, rows the next strip's window shares are held
-    for it; every other row is final, and there eta_b is zero for all later
-    strips, so tau eta_b coupled is coupled times +0.0: it is taken off them
-    now, which keeps the sign of every zero the full-grid sweep leaves.
+    on every row.  Here the sum is formed in ``applied`` on the strip's
+    window, the inner rows of ``slab`` where the apply is exact, plus
+    ``held``, the sum the strip before carried on its band.  The windows in
+    sweep order keep an invariant (tests/test_sweep_coupling.py): a row two
+    windows share lies in every window between them, and no later strip has
+    a positive weight on a row of this window that the next strip's window
+    does not share.  Off that band every row is final, and tau eta_b coupled
+    is coupled times +0.0 for every later strip b: it is taken off them now,
+    which keeps the sign of every zero the full-grid sweep leaves.  On the
+    band it is taken off the next strip now; the band's unweighted sum is
+    returned for the next strip to add to its own only when a strip follows
+    that one, and None otherwise.
     """
     if not later:
         return None
-    lo, hi = _rows(slab)
+    lo, hi = slab[0].start + 1, slab[0].stop - 1
     coupled = applied[:, 1:-1]
     coupled += 0.0  # the sum starts from +0.0, which turns -0.0 into +0.0
     if held is not None:
         band, band_sum = held
         coupled[:, band.start - lo : band.stop - lo] += band_sum
-    start, stop = _rows(part.slabs[later[0]])
-    start, stop = max(lo, start), min(hi, stop)
+    nxt = part.slabs[later[0]]
+    start, stop = (max(lo, nxt[0].start + 1), min(hi, nxt[0].stop - 1)) if nxt is not None else (hi, hi)
     if start >= stop:  # the next window does not meet this one
         start = stop = hi
     for first, last in ((lo, start), (stop, hi)):
@@ -421,7 +412,13 @@ def _couple(out: np.ndarray, part: Partition, later: range, slab: tuple[slice, G
             final *= 0.0
             for b in later:
                 out[b][:, first:last] -= final
-    return (slice(start, stop), coupled[:, start - lo : stop - lo].copy()) if start < stop else None
+    if start == stop:
+        return None
+    shared = coupled[:, start - lo : stop - lo]
+    # copied before the view is weighed; the view itself would keep all of applied
+    held = (slice(start, stop), shared.copy()) if len(later) > 1 else None
+    out[later[0]][:, start:stop] -= _weigh(tau * part.eta[later[0]][start:stop], shared)
+    return held
 
 
 def dd_forward_sweep(

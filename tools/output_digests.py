@@ -1,0 +1,56 @@
+"""Run a fixed list of stokesdd commands and print one digest line per run.
+
+    python tools/output_digests.py [--src DIR]
+
+Each line is ``name exit_code sha256``; the hash covers the sorted names and
+bytes of the CSV files the run wrote, not manifest.json, whose duration and
+environment vary.  The stokesdd package is imported from DIR (default: the
+src/ beside this script), so two checkouts compare with
+
+    diff <(python tools/output_digests.py --src A/src) <(python tools/output_digests.py --src B/src)
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+import tempfile
+
+DD = ["run", "--scheme", "decomposed"]
+GROWING = ["run", "--n1", "16", "--n2", "16", "--tau", "0.5", "--t_final", "5", "--decay=-300"]
+RUNS = {
+    "mono_square": ["run", "--n1", "128", "--n2", "128", "--tau", "0.025", "--t_final", "0.25"],
+    "dd_channel": [*DD, "--l1", "4", "--n1", "64", "--n2", "64", "--m", "2", "--overlap", "16", "--tau", "0.025", "--t_final", "0.25"],
+    "dd_16_m3": [*DD, "--m", "3", "--overlap", "2"],
+    "dd_16_m3_random": [*DD, "--m", "3", "--overlap", "2", "--initial", "random", "--forcing", "none"],
+    "dd_43x7_m5": [*DD, "--l1", "2", "--l2", "0.7", "--n1", "43", "--n2", "7", "--m", "5"],
+    "dd_64x48_m8": [*DD, "--n1", "64", "--n2", "48", "--m", "8"],
+    "dd_2x4_no_interior_row": [*DD, "--n1", "2", "--n2", "4", "--m", "2", "--overlap", "0"],
+    "failed_monolithic": GROWING,
+    "failed_decomposed": [*GROWING, "--scheme", "decomposed", "--m", "3", "--overlap", "2"],
+    "converge": ["converge"],
+    "stability_monolithic": ["stability"],
+    "stability_decomposed": ["stability", "--scheme", "decomposed"],
+}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    sys.path.insert(0, parser.parse_args().src)
+    from stokesdd import cli
+
+    for name, argv in RUNS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([*argv, "--out_dir", tmp])
+            digest = hashlib.sha256()
+            for path in sorted(pathlib.Path(tmp).glob("*.csv")):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+            print(name, code, digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
