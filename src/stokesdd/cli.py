@@ -4,6 +4,9 @@ Configuration is a flat ``key = value`` text file ('#' starts a comment);
 every key can also be given as a ``--key value`` flag, which wins over the
 file.  Exit codes: 0 success, 1 run or monitor failure, 2 configuration
 rejected before the run started.
+
+The file-writing commands (run, converge, stability) return (ok, manifest
+extras); main makes their out_dir, times them and writes manifest.json.
 """
 
 from __future__ import annotations
@@ -311,9 +314,7 @@ def _out_dir(conf: dict) -> Path:
     return Path(conf["out_dir"])
 
 
-def cmd_run(conf: dict) -> int:
-    out_dir = _out_dir(conf)
-    started = time.perf_counter()
+def cmd_run(conf: dict, out_dir: Path) -> tuple[bool, dict]:
     cfg = build_scheme_config(conf)
     result = run(cfg)
 
@@ -336,17 +337,19 @@ def cmd_run(conf: dict) -> int:
         "outputs": outputs,
         "monitors": monitors,
     }
-    _write_manifest(out_dir, "run", conf, extra, started)
     ok = monitors["completed"] and monitors["stability_passed"]
     print(f"run: {len(result.reports)} of {cfg.n_steps} steps, monitors {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return ok, extra
 
 
 def _list(raw: str, kind: type, what: str) -> list:
     try:
-        return [kind(part) for part in raw.split(",") if part.strip()]
+        values = [kind(part) for part in raw.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} list {raw!r}") from exc
+    if not values:
+        raise ConfigError(f"{what} list is empty")
+    return values
 
 
 def _refinement(study: str, scheme: str, ns: list[int], taus: list[float], errors: list[float]) -> list[list]:
@@ -360,19 +363,15 @@ def _refinement(study: str, scheme: str, ns: list[int], taus: list[float], error
     return rows
 
 
-def cmd_converge(conf: dict) -> int:
+def cmd_converge(conf: dict, out_dir: Path) -> tuple[bool, dict]:
     """Temporal and spatial refinement studies against the exact solution.
 
     The temporal study fixes the configured grid and halves tau; the gap
     series is the distance between the two schemes at equal tau.  The
     spatial study walks the grid list at the smallest tau.
     """
-    out_dir = _out_dir(conf)
-    started = time.perf_counter()
     taus = _list(conf["taus"], float, "taus")
     grids = _list(conf["grids"], int, "grids")
-    if not taus or not grids:
-        raise ConfigError("converge needs non-empty taus and grids lists")
     case = _case_of(conf)
     tau_min = min(taus)
 
@@ -405,19 +404,14 @@ def cmd_converge(conf: dict) -> int:
 
     with _csv_file(out_dir / "converge.csv", ["study", "scheme", "n", "tau", "error", "ratio", "order"]) as write:
         write([*row[:2], *map(_fmt, row[2:])] for row in rows)
-    _write_manifest(out_dir, "converge", conf, {"rows": len(rows), "completed": ok, "outputs": {"table": "converge.csv"}}, started)
     for row in rows:
         print(f"{row[0]:>5} {row[1]:>11} n={row[2]:>3} tau={row[3]:<8g} error={row[4]:.4e} order={row[6]:.2f}")
-    return 0 if ok else 1
+    return ok, {"rows": len(rows), "completed": ok, "outputs": {"table": "converge.csv"}}
 
 
-def cmd_stability(conf: dict) -> int:
+def cmd_stability(conf: dict, out_dir: Path) -> tuple[bool, dict]:
     """Long unforced runs from random data across a ladder of time steps."""
-    out_dir = _out_dir(conf)
-    started = time.perf_counter()
     taus = _list(conf["taus"], float, "taus")
-    if not taus:
-        raise ConfigError("stability needs a non-empty taus list")
     if conf["steps"] < 1:
         raise ConfigError(f"steps must be at least 1, got {conf['steps']}")
     cfgs = [
@@ -435,9 +429,7 @@ def cmd_stability(conf: dict) -> int:
             rows = ((tau, cfg.m, rep.step, rep.norm_state, rep.norm_end, margin) for rep, margin in zip(result.reports, stab.margins))
             write(map(_fmt, row) for row in rows)
             print(f"tau={tau:<8g} steps={len(result.reports)} worst margin={stab.worst_margin:.3e} {'pass' if ok else 'FAIL: ' + reason}")
-    extra = {"completed": all_ok, "message": message, "outputs": {"table": "stability.csv"}}
-    _write_manifest(out_dir, "stability", conf, extra, started)
-    return 0 if all_ok else 1
+    return all_ok, {"completed": all_ok, "message": message, "outputs": {"table": "stability.csv"}}
 
 
 def cmd_verify(conf: dict) -> int:
@@ -465,8 +457,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         conf = resolve_config(args)
-        handler = {"run": cmd_run, "converge": cmd_converge, "stability": cmd_stability, "verify": cmd_verify}[args.command]
-        return handler(conf)
+        if args.command == "verify":
+            return cmd_verify(conf)
+        out_dir = _out_dir(conf)
+        started = time.perf_counter()
+        ok, extra = {"run": cmd_run, "converge": cmd_converge, "stability": cmd_stability}[args.command](conf, out_dir)
+        _write_manifest(out_dir, args.command, conf, extra, started)
+        return 0 if ok else 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -103,9 +103,9 @@ def _viscous_raw(x: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:
     return out
 
 
-# The pressure kernels run once per pressure CG iteration and keep their
-# temporaries few: on a large grid each one is a block the allocator may hand
-# back to the system and fault in again on the next iteration.
+# The pressure kernels run three times per monolithic step and per strip of the
+# pressure substeps (two divergences, one gradient) and keep their temporaries
+# few: _divergence_raw's ``across`` is one of the monolithic step's memory peaks.
 
 def _gradient_raw(p: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = np.zeros((2,) + grid.shape)

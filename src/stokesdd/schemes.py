@@ -98,8 +98,7 @@ class SchemeConfig:
             raise ValueError(f"time step must be positive, got {self.tau}")
         if not (math.isfinite(self.t_final) and self.t_final > 0):
             raise ValueError(f"final time must be positive, got {self.t_final}")
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
+        self.viscous  # built now, so a viscosity ViscousOperator refuses is refused here
         if int(self.m) != self.m or self.m < 1:
             raise ValueError(f"strip count must be a positive integer, got {self.m}")
         if int(self.overlap) != self.overlap or self.overlap < 0:
@@ -384,8 +383,9 @@ def _couple(out: np.ndarray, part: Partition, later: range, slab: tuple[slice, G
     on every row.  Here the sum is formed in ``applied`` on the strip's
     window, the inner rows of ``slab`` where the apply is exact, plus
     ``held``, the sum the strip before carried on its band.  The windows in
-    sweep order keep an invariant (tests/test_sweep_coupling.py): a row two
-    windows share lies in every window between them, and no later strip has
+    sweep order keep an invariant (tests/test_sweep_coupling.py and
+    test_consecutive_windows.py): two consecutive windows meet; a row two
+    windows share lies in every window between them; and no later strip has
     a positive weight on a row of this window that the next strip's window
     does not share.  Off that band every row is final, and tau eta_b coupled
     is coupled times +0.0 for every later strip b: it is taken off them now,
@@ -404,8 +404,6 @@ def _couple(out: np.ndarray, part: Partition, later: range, slab: tuple[slice, G
         coupled[:, band.start - lo : band.stop - lo] += band_sum
     nxt = part.slabs[later[0]]
     start, stop = (max(lo, nxt[0].start + 1), min(hi, nxt[0].stop - 1)) if nxt is not None else (hi, hi)
-    if start >= stop:  # the next window does not meet this one
-        start = stop = hi
     for first, last in ((lo, start), (stop, hi)):
         if first < last:
             final = coupled[:, first - lo : last - lo]

@@ -2,10 +2,12 @@
 
     python tools/output_digests.py [--src DIR]
 
-Each line is ``name exit_code sha256``; the hash covers the sorted names and
-bytes of the CSV files the run wrote, not manifest.json, whose duration and
-environment vary.  The stokesdd package is imported from DIR (default: the
-src/ beside this script), so two checkouts compare with
+Each line is ``name exit_code sha256``; the hash covers the run's stdout,
+its manifest.json without ``duration_seconds`` and ``config.out_dir`` (the
+two entries that vary from one run to the next), and the sorted names and
+bytes of the CSV files it wrote.  stderr is not hashed, so the wording of a
+refusal may change.  The stokesdd package is imported from DIR (default:
+the src/ beside this script), so two checkouts compare with
 
     diff <(python tools/output_digests.py --src A/src) <(python tools/output_digests.py --src B/src)
 """
@@ -14,6 +16,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
 import sys
 import tempfile
@@ -23,6 +26,7 @@ GROWING = ["run", "--n1", "16", "--n2", "16", "--tau", "0.5", "--t_final", "5", 
 RUNS = {
     "mono_square": ["run", "--n1", "128", "--n2", "128", "--tau", "0.025", "--t_final", "0.25"],
     "dd_channel": [*DD, "--l1", "4", "--n1", "64", "--n2", "64", "--m", "2", "--overlap", "16", "--tau", "0.025", "--t_final", "0.25"],
+    "dd_16_m1": [*DD, "--m", "1", "--overlap", "0"],
     "dd_16_m3": [*DD, "--m", "3", "--overlap", "2"],
     "dd_16_m3_random": [*DD, "--m", "3", "--overlap", "2", "--initial", "random", "--forcing", "none"],
     "dd_43x7_m5": [*DD, "--l1", "2", "--l2", "0.7", "--n1", "43", "--n2", "7", "--m", "5"],
@@ -33,7 +37,18 @@ RUNS = {
     "converge": ["converge"],
     "stability_monolithic": ["stability"],
     "stability_decomposed": ["stability", "--scheme", "decomposed"],
+    "converge_empty_taus": ["converge", "--taus", ","],
+    "stability_empty_taus": ["stability", "--taus", ","],
 }
+
+
+def _manifest_bytes(path: pathlib.Path) -> bytes:
+    """manifest.json without the entries that vary between runs, keys sorted; empty if missing."""
+    if not path.exists():
+        return b""
+    manifest = json.loads(path.read_text())
+    del manifest["duration_seconds"], manifest["config"]["out_dir"]
+    return json.dumps(manifest, sort_keys=True).encode()
 
 
 def main() -> None:
@@ -44,9 +59,11 @@ def main() -> None:
 
     for name, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main([*argv, "--out_dir", tmp])
-            digest = hashlib.sha256()
+            digest = hashlib.sha256(stdout.getvalue().encode() + b"\0")
+            digest.update(_manifest_bytes(pathlib.Path(tmp) / "manifest.json") + b"\0")
             for path in sorted(pathlib.Path(tmp).glob("*.csv")):
                 digest.update(path.name.encode() + b"\0" + path.read_bytes())
             print(name, code, digest.hexdigest())
