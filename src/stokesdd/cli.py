@@ -354,12 +354,14 @@ def _list(raw: str, kind: type, what: str) -> list:
 
 def _refinement(study: str, scheme: str, ns: list[int], taus: list[float], errors: list[float]) -> list[list]:
     """Table rows of one refinement series: each error with its ratio to the
-    previous error and the observed order log2(ratio)."""
+    previous error and the observed order log2(ratio).  A zero error gives
+    a ratio of inf or nan (0/0), and so an order of +-inf or nan."""
     rows = []
-    for k, (n, tau, err) in enumerate(zip(ns, taus, errors)):
-        ratio = errors[k - 1] / err if k else float("nan")
-        order = np.log2(ratio) if k else float("nan")
-        rows.append([study, scheme, n, tau, err, ratio, order])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (n, tau, err) in enumerate(zip(ns, taus, errors)):
+            ratio = np.float64(errors[k - 1]) / err if k else float("nan")
+            order = np.log2(ratio) if k else float("nan")
+            rows.append([study, scheme, n, tau, err, ratio, order])
     return rows
 
 

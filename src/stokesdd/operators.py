@@ -253,85 +253,60 @@ def vector_to_decomposed(grid: GridSpec, m: int, vec: np.ndarray) -> DecomposedV
 
 # -- dense assembly
 
-def _guard(grid: GridSpec) -> None:
+def _guard(grid: GridSpec, strips: int) -> None:
     nodes = (grid.n1 + 1) * (grid.n2 + 1)
-    if nodes > _DENSE_NODE_LIMIT:
-        raise SizeGuardError(f"{nodes} nodes exceeds the dense assembly limit of {_DENSE_NODE_LIMIT}")
+    if strips * nodes > _DENSE_NODE_LIMIT:
+        raise SizeGuardError(f"{strips} x {nodes} nodes exceeds the dense assembly limit of {_DENSE_NODE_LIMIT}")
 
 
-def _interior_index(grid: GridSpec, i1: int, i2: int) -> int:
-    return (i1 - 1) * (grid.n2 - 1) + (i2 - 1)
-
-
-def _pressure_index(grid: GridSpec, i1: int, i2: int) -> int:
-    return (i1 - 1) * grid.n2 + (i2 - 1)
-
-
-def _dense_laplacian(grid: GridSpec, nu: float) -> np.ndarray:
-    m = grid.num_interior
-    c1 = nu / grid.h1**2
-    c2 = nu / grid.h2**2
-    out = np.zeros((m, m))
-    for i1 in range(1, grid.n1):
-        for i2 in range(1, grid.n2):
-            k = _interior_index(grid, i1, i2)
-            out[k, k] = 2.0 * c1 + 2.0 * c2
-            if i1 > 1:
-                out[k, _interior_index(grid, i1 - 1, i2)] = -c1
-            if i1 < grid.n1 - 1:
-                out[k, _interior_index(grid, i1 + 1, i2)] = -c1
-            if i2 > 1:
-                out[k, _interior_index(grid, i1, i2 - 1)] = -c2
-            if i2 < grid.n2 - 1:
-                out[k, _interior_index(grid, i1, i2 + 1)] = -c2
-    return out
+def _numbering(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical numbers k[c, i1-1, i2-1] of the velocity unknowns (component c
+    at interior node (i1, i2)) and p[i1-1, i2-1] of the pressure unknowns."""
+    k = np.arange(2 * grid.num_interior).reshape(2, grid.n1 - 1, grid.n2 - 1)
+    p = np.arange(grid.num_pressure).reshape(grid.n1, grid.n2)
+    return k, p
 
 
 def _dense_viscous(grid: GridSpec, nu: float) -> np.ndarray:
-    lap = _dense_laplacian(grid, nu)
-    m = grid.num_interior
-    out = np.zeros((2 * m, 2 * m))
-    out[:m, :m] = lap
-    out[m:, m:] = lap
+    """nu times the negative five-point Laplacian on each component."""
+    k, _ = _numbering(grid)
+    c1 = nu / grid.h1**2
+    c2 = nu / grid.h2**2
+    out = np.zeros((k.size, k.size))
+    out[k, k] = 2.0 * c1 + 2.0 * c2
+    out[k[:, 1:], k[:, :-1]] = out[k[:, :-1], k[:, 1:]] = -c1
+    out[k[..., 1:], k[..., :-1]] = out[k[..., :-1], k[..., 1:]] = -c2
     return out
 
 
 def _dense_gradient(grid: GridSpec) -> np.ndarray:
-    m = grid.num_interior
-    out = np.zeros((2 * m, grid.num_pressure))
-    for i1 in range(1, grid.n1):
-        for i2 in range(1, grid.n2):
-            k = _interior_index(grid, i1, i2)
-            out[k, _pressure_index(grid, i1 + 1, i2)] += 1.0 / grid.h1
-            out[k, _pressure_index(grid, i1, i2)] += -1.0 / grid.h1
-            out[m + k, _pressure_index(grid, i1, i2 + 1)] += 1.0 / grid.h2
-            out[m + k, _pressure_index(grid, i1, i2)] += -1.0 / grid.h2
+    """Forward differences from the pressure nodes onto the interior nodes."""
+    k, p = _numbering(grid)
+    out = np.zeros((k.size, p.size))
+    out[k[0], p[1:, :-1]] = 1.0 / grid.h1
+    out[k[0], p[:-1, :-1]] = -1.0 / grid.h1
+    out[k[1], p[:-1, 1:]] = 1.0 / grid.h2
+    out[k[1], p[:-1, :-1]] = -1.0 / grid.h2
     return out
 
 
 def _dense_divergence(grid: GridSpec) -> np.ndarray:
-    m = grid.num_interior
-    out = np.zeros((grid.num_pressure, 2 * m))
-
-    def interior(i1: int, i2: int) -> bool:
-        return 1 <= i1 <= grid.n1 - 1 and 1 <= i2 <= grid.n2 - 1
-
-    for i1 in range(1, grid.n1 + 1):
-        for i2 in range(1, grid.n2 + 1):
-            k = _pressure_index(grid, i1, i2)
-            if interior(i1, i2):
-                out[k, _interior_index(grid, i1, i2)] += 1.0 / grid.h1
-                out[k, m + _interior_index(grid, i1, i2)] += 1.0 / grid.h2
-            if interior(i1 - 1, i2):
-                out[k, _interior_index(grid, i1 - 1, i2)] += -1.0 / grid.h1
-            if interior(i1, i2 - 1):
-                out[k, m + _interior_index(grid, i1, i2 - 1)] += -1.0 / grid.h2
+    """Backward differences from the interior nodes onto the pressure nodes."""
+    k, p = _numbering(grid)
+    out = np.zeros((p.size, k.size))
+    out[p[:-1, :-1], k[0]] = 1.0 / grid.h1
+    out[p[1:, :-1], k[0]] = -1.0 / grid.h1
+    out[p[:-1, :-1], k[1]] = 1.0 / grid.h2
+    out[p[:-1, 1:], k[1]] = -1.0 / grid.h2
     return out
 
 
 def _dense_mask(grid: GridSpec, eta: np.ndarray) -> np.ndarray:
     diag = eta[1:-1, 1:-1].ravel()
     return np.diag(np.concatenate([diag, diag]))
+
+
+_COUPLINGS = ("coupling", "coupling_lower", "coupling_upper")
 
 
 def assemble_dense(which: str, grid: GridSpec, **params) -> np.ndarray:
@@ -344,7 +319,7 @@ def assemble_dense(which: str, grid: GridSpec, **params) -> np.ndarray:
         'implicit', 'coupling', 'coupling_lower', 'coupling_upper'.
     grid : GridSpec
         Grid to assemble on; refused via SizeGuardError when it has more
-        than 10_000 nodes.
+        than 10_000 nodes, counted once per strip for the coupling variants.
     params :
         'viscous' needs nu.  'mask' needs eta.  'block' needs nu, eta_row,
         eta_col.  'implicit' needs nu, tau, eta and assembles
@@ -359,7 +334,7 @@ def assemble_dense(which: str, grid: GridSpec, **params) -> np.ndarray:
         The dense matrix.  Velocity vectors follow velocity_to_vector,
         pressure vectors follow pressure_to_vector.
     """
-    _guard(grid)
+    _guard(grid, len(params["masks"]) if which in _COUPLINGS else 1)
     if which == "viscous":
         return _dense_viscous(grid, params["nu"])
     if which == "gradient":
@@ -378,22 +353,16 @@ def assemble_dense(which: str, grid: GridSpec, **params) -> np.ndarray:
         x = _dense_mask(grid, np.asarray(params["eta"], dtype=float))
         n = a.shape[0]
         return np.eye(n) + 0.5 * params["tau"] * (x @ a @ x)
-    if which in ("coupling", "coupling_lower", "coupling_upper"):
-        masks = params["masks"]
+    if which in _COUPLINGS:
         a = _dense_viscous(grid, params["nu"])
-        xs = [_dense_mask(grid, np.asarray(chi.eta, dtype=float)) for chi in masks]
+        xs = [_dense_mask(grid, np.asarray(chi.eta, dtype=float)) for chi in params["masks"]]
         m = len(xs)
+        lower = 0.5 * np.eye(m) + np.tril(np.ones((m, m)), -1)
+        # the share of block (a, b) that each variant holds
+        share = {"coupling": np.ones((m, m)), "coupling_lower": lower, "coupling_upper": lower.T}[which]
         size = a.shape[0]
         out = np.zeros((m * size, m * size))
-        for ra in range(m):
-            for cb in range(m):
-                if which == "coupling":
-                    scale = 1.0
-                elif which == "coupling_lower":
-                    scale = 0.5 if ra == cb else (1.0 if cb < ra else 0.0)
-                else:
-                    scale = 0.5 if ra == cb else (1.0 if cb > ra else 0.0)
-                if scale:
-                    out[ra * size : (ra + 1) * size, cb * size : (cb + 1) * size] = scale * (xs[ra] @ a @ xs[cb])
+        for ra, cb in zip(*np.nonzero(share)):
+            out[ra * size : (ra + 1) * size, cb * size : (cb + 1) * size] = share[ra, cb] * (xs[ra] @ a @ xs[cb])
         return out
     raise ValueError(f"unknown operator kind {which!r}")

@@ -31,7 +31,6 @@ from .linsolve import SolveConfig
 from .operators import (
     assemble_dense,
     decomposed_to_vector,
-    pressure_to_vector,
     vector_to_decomposed,
     vector_to_velocity,
     velocity_to_vector,

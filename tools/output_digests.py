@@ -2,7 +2,8 @@
 
     python tools/output_digests.py [--src DIR]
 
-Each line is ``name exit_code sha256``; the hash covers the run's stdout,
+Each line is ``name exit_code sha256``, or ``name raised ExceptionName``
+when the run raises out of ``cli.main``; the hash covers the run's stdout,
 its manifest.json without ``duration_seconds`` and ``config.out_dir`` (the
 two entries that vary from one run to the next), and the sorted names and
 bytes of the CSV files it wrote.  stderr is not hashed, so the wording of a
@@ -39,6 +40,11 @@ RUNS = {
     "stability_decomposed": ["stability", "--scheme", "decomposed"],
     "converge_empty_taus": ["converge", "--taus", ","],
     "stability_empty_taus": ["stability", "--taus", ","],
+    "converge_zero_exact": [
+        "converge", "--amplitude", "0", "--decay", "1e5", "--taus", "0.1,0.05", "--grids", "8,16",
+        "--n1", "8", "--n2", "8", "--t_final", "0.2",
+    ],
+    "verify": ["verify"],
 }
 
 
@@ -60,8 +66,12 @@ def main() -> None:
     for name, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
             stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main([*argv, "--out_dir", tmp])
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main([*argv, "--out_dir", tmp])
+            except Exception as exc:
+                print(name, "raised", type(exc).__name__)
+                continue
             digest = hashlib.sha256(stdout.getvalue().encode() + b"\0")
             digest.update(_manifest_bytes(pathlib.Path(tmp) / "manifest.json") + b"\0")
             for path in sorted(pathlib.Path(tmp).glob("*.csv")):
