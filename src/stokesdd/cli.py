@@ -459,13 +459,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         conf = resolve_config(args)
-        if args.command == "verify":
-            return cmd_verify(conf)
-        out_dir = _out_dir(conf)
-        started = time.perf_counter()
-        ok, extra = {"run": cmd_run, "converge": cmd_converge, "stability": cmd_stability}[args.command](conf, out_dir)
-        _write_manifest(out_dir, args.command, conf, extra, started)
-        return 0 if ok else 1
+        with np.errstate(all="ignore"):  # a non-finite value stops a run through its finiteness checks
+            if args.command == "verify":
+                return cmd_verify(conf)
+            out_dir = _out_dir(conf)
+            started = time.perf_counter()
+            ok, extra = {"run": cmd_run, "converge": cmd_converge, "stability": cmd_stability}[args.command](conf, out_dir)
+            _write_manifest(out_dir, args.command, conf, extra, started)
+            return 0 if ok else 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -236,9 +236,8 @@ def dot_velocity(a: VelocityField, b: VelocityField) -> float:
 
 
 def _dot_stacked(grid: GridSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """h1*h2 times the sum of x*y over both components of (2, n1+1, n2+1) arrays; inf, without a warning, on overflow."""
-    with np.errstate(over="ignore"):
-        return grid.cell_area * (float(np.sum(x[0] * y[0])) + float(np.sum(x[1] * y[1])))
+    """h1*h2 times the sum of x*y over both components of (2, n1+1, n2+1) arrays; inf on overflow."""
+    return grid.cell_area * (float(np.sum(x[0] * y[0])) + float(np.sum(x[1] * y[1])))
 
 
 def norm_velocity(a: VelocityField) -> float:
@@ -246,10 +245,9 @@ def norm_velocity(a: VelocityField) -> float:
 
 
 def dot_pressure(p: PressureField, q: PressureField) -> float:
-    """Inner product over the pressure nodes with the same h1*h2 weight; inf, without a warning, on overflow."""
+    """Inner product over the pressure nodes with the same h1*h2 weight; inf on overflow."""
     _require_same_grid(p, q)
-    with np.errstate(over="ignore"):
-        return p.grid.cell_area * float(np.sum(p.p * q.p))
+    return p.grid.cell_area * float(np.sum(p.p * q.p))
 
 
 def norm_pressure(p: PressureField) -> float:

@@ -107,62 +107,61 @@ def cg_solve(
     cfg = cfg or SolveConfig()
     r = rhs.astype(float, copy=True)
     del rhs
-    with np.errstate(over="ignore"):  # an overflowing product is caught as a non-finite one
+    if project is not None:
+        r = project(r)
+    x = np.zeros_like(r)
+
+    res0 = math.sqrt(_dot(r, r))
+    target = max(cfg.rel_tol * res0, cfg.abs_tol)
+    if not math.isfinite(res0):
+        raise NumericalBreakdownError(f"right-hand side norm is {res0}")
+    if res0 <= target:
+        return x, SolveReport(iterations=0, residual=res0, converged=True)
+
+    def preconditioned(r: np.ndarray, rr: float) -> tuple[np.ndarray, float]:
+        """z = M r and (r, z); plain CG takes z = r, whose product rr is known."""
+        if precondition is None:
+            return r, rr
+        z = precondition(r)
         if project is not None:
-            r = project(r)
-        x = np.zeros_like(r)
+            z = project(z)
+        rz = _dot(r, z)
+        if not math.isfinite(rz) or rz <= 0.0:
+            raise NumericalBreakdownError(f"preconditioned residual product is {rz}")
+        return z, rz
 
-        res0 = math.sqrt(_dot(r, r))
-        target = max(cfg.rel_tol * res0, cfg.abs_tol)
-        if not math.isfinite(res0):
-            raise NumericalBreakdownError(f"right-hand side norm is {res0}")
-        if res0 <= target:
-            return x, SolveReport(iterations=0, residual=res0, converged=True)
-
-        def preconditioned(r: np.ndarray, rr: float) -> tuple[np.ndarray, float]:
-            """z = M r and (r, z); plain CG takes z = r, whose product rr is known."""
-            if precondition is None:
-                return r, rr
-            z = precondition(r)
-            if project is not None:
-                z = project(z)
-            rz = _dot(r, z)
-            if not math.isfinite(rz) or rz <= 0.0:
-                raise NumericalBreakdownError(f"preconditioned residual product is {rz}")
-            return z, rz
-
-        max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * r.size
-        z, rz = preconditioned(r, res0 * res0)
-        d = z.copy()
-        res = res0
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iter + 1):
-            q = apply(d)
-            if np.may_share_memory(q, d):
-                q = q.copy()
-            dq = _dot(d, q)
-            if not math.isfinite(dq) or dq <= 0.0:
-                raise NumericalBreakdownError(f"curvature {dq} on iteration {iterations}")
-            alpha = rz / dq
-            q *= alpha
-            r -= q
-            np.multiply(d, alpha, out=q)
-            x += q
-            rr_new = _dot(r, r)
-            if not math.isfinite(rr_new):
-                raise NumericalBreakdownError(f"residual norm squared is {rr_new}")
-            res = math.sqrt(rr_new)
-            if res <= target:
-                converged = True
-                break
-            z, rz_new = preconditioned(r, rr_new)
-            d *= rz_new / rz
-            d += z
-            if project is not None:
-                d = project(d)
-            rz = rz_new
-
+    max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * r.size
+    z, rz = preconditioned(r, res0 * res0)
+    d = z.copy()
+    res = res0
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        q = apply(d)
+        if np.may_share_memory(q, d):
+            q = q.copy()
+        dq = _dot(d, q)
+        if not math.isfinite(dq) or dq <= 0.0:
+            raise NumericalBreakdownError(f"curvature {dq} on iteration {iterations}")
+        alpha = rz / dq
+        q *= alpha
+        r -= q
+        np.multiply(d, alpha, out=q)
+        x += q
+        rr_new = _dot(r, r)
+        if not math.isfinite(rr_new):
+            raise NumericalBreakdownError(f"residual norm squared is {rr_new}")
+        res = math.sqrt(rr_new)
+        if res <= target:
+            converged = True
+            break
+        z, rz_new = preconditioned(r, rr_new)
+        d *= rz_new / rz
+        d += z
         if project is not None:
-            x = project(x)
-        return x, SolveReport(iterations=iterations, residual=res, converged=converged)
+            d = project(d)
+        rz = rz_new
+
+    if project is not None:
+        x = project(x)
+    return x, SolveReport(iterations=iterations, residual=res, converged=converged)

@@ -219,8 +219,7 @@ def _direct(status: dict | None, r: np.ndarray, what: str) -> None:
     A non-finite residual, an overflowing norm included, raises
     NumericalBreakdownError.
     """
-    with np.errstate(over="ignore"):
-        res = math.sqrt(_dot(r, r))
+    res = math.sqrt(_dot(r, r))
     if not math.isfinite(res):
         raise NumericalBreakdownError(f"{what}: residual norm is {res}")
     if status is not None:

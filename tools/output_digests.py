@@ -45,6 +45,13 @@ RUNS = {
         "--n1", "8", "--n2", "8", "--t_final", "0.2",
     ],
     "verify": ["verify"],
+    "overflowing_decay_monolithic": ["run", "--decay=-1e300", "--t_final", "0.2"],
+    "overflowing_decay_decomposed": [*DD, "--decay=-1e300", "--t_final", "0.2"],
+    "converge_overflowing_decay": ["converge", "--decay=-1e4"],
+    "dd_tiny_l1": [
+        *DD, "--l1", "1e-12", "--n1", "8", "--n2", "8", "--m", "2", "--overlap", "1",
+        "--initial", "random", "--forcing", "none", "--tau", "0.1", "--t_final", "0.2",
+    ],
 }
 
 
