@@ -12,6 +12,7 @@ extras); main makes their out_dir, times them and writes manifest.json.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -276,12 +277,35 @@ def _environment() -> dict:
     }
 
 
+def _numerics() -> dict:
+    """What a run's bytes depend on beyond ``environment``: numpy's BLAS, the
+    OpenBLAS core it runs (the wheel's own library), and numpy's enabled SIMD
+    dispatch targets; None for what cannot be found."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    core = None
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            get_core = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        get_core.argtypes, get_core.restype = [], ctypes.c_char_p
+        core = get_core().decode()
+    return {
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_core": core,
+        "cpu_dispatch": config.get("SIMD Extensions", {}).get("found"),
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, conf: dict, extra: dict, started: float) -> None:
     manifest = {
         "command": command,
         "config": {k: conf[k] for k in sorted(conf)},
         "duration_seconds": time.perf_counter() - started,
         "environment": _environment(),
+        "numerics": _numerics(),
         **extra,
     }
     with open(out_dir / "manifest.json", "w") as handle:

@@ -90,16 +90,14 @@ def make_grid(l1: float, l2: float, n1: int, n2: int) -> GridSpec:
     """
     if not (math.isfinite(l1) and math.isfinite(l2) and l1 > 0 and l2 > 0):
         raise InvalidGridError(f"side lengths must be positive and finite, got {l1}, {l2}")
-    if int(n1) != n1 or int(n2) != n2 or n1 < 2 or n2 < 2:
+    if not (2 <= n1 < math.inf and 2 <= n2 < math.inf and int(n1) == n1 and int(n2) == n2):
         raise InvalidGridError(f"need at least 2 cells per direction, got {n1}, {n2}")
     n1, n2 = int(n1), int(n2)
     return GridSpec(l1=float(l1), l2=float(l2), n1=n1, n2=n2, h1=l1 / n1, h2=l2 / n2)
 
 
-def _as_field_array(grid: GridSpec, data: np.ndarray | None) -> np.ndarray:
-    """A float copy of ``data`` (zeros for None) of the grid's node shape."""
-    if data is None:
-        return np.zeros(grid.shape)
+def _as_field_array(grid: GridSpec, data: np.ndarray) -> np.ndarray:
+    """A float copy of ``data`` of the grid's node shape."""
     arr = np.array(data, dtype=float)
     if arr.shape != grid.shape:
         raise GridMismatchError(f"array shape {arr.shape} does not match grid {grid.shape}")
@@ -167,7 +165,7 @@ class VelocityField(_GridFunction):
     _lead = (2,)
     _outside = _BOUNDARY
 
-    def __init__(self, grid: GridSpec, u1: np.ndarray | None, u2: np.ndarray | None) -> None:
+    def __init__(self, grid: GridSpec, u1: np.ndarray, u2: np.ndarray) -> None:
         super().__init__(grid, np.stack([_as_field_array(grid, values) for values in (u1, u2)]))
 
     @property
@@ -188,7 +186,7 @@ class PressureField(_GridFunction):
 
     _outside = (np.s_[0, :], np.s_[:, 0])
 
-    def __init__(self, grid: GridSpec, p: np.ndarray | None) -> None:
+    def __init__(self, grid: GridSpec, p: np.ndarray) -> None:
         super().__init__(grid, _as_field_array(grid, p))
 
     @property

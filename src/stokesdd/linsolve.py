@@ -20,6 +20,7 @@ in place, with the operator's output as scratch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,7 +39,8 @@ class SolveConfig:
     max(rel_tol * initial residual, abs_tol).  max_iter of None means ten
     times the unknown count: 10*n1*n2 for the monolithic pressure solve.
     Tolerances must be finite and non-negative (zero is allowed) and max_iter
-    at least 1; a NaN tolerance would make every solve run to max_iter.
+    an integer of at least 1; a NaN tolerance would make every solve run to
+    max_iter.
     """
 
     rel_tol: float = 1e-10
@@ -50,8 +52,8 @@ class SolveConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if not (self.max_iter is None or isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be None or an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)

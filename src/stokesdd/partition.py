@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import DecomposedVelocity, GridMismatchError, GridSpec, VelocityField
 from .operators import MaskOperator
-from .transforms import StripFactors, _interior_rows, pressure_factors, sweep_factors
+from .transforms import StripFactors, pressure_factors, sweep_factors
 
 
 class InvalidPartitionError(ValueError):
@@ -52,34 +52,48 @@ class Partition:
         key = (nu, tau)
         if key not in self._sweep:
             self._sweep[key] = [
-                sweep_factors(self.grid, eta[:, 0], ext, nu, tau) for eta, ext in zip(self.eta, self.extents)
+                sweep_factors(self.grid, eta[:, 0], rows, nu, tau) for eta, rows in zip(self.eta, self.rows)
             ]
         return self._sweep[key]
+
+    @cached_property
+    def rows(self) -> list[slice]:
+        """Per strip, the interior rows i1 where its weight is positive, slice(first, last + 1).
+
+        A strip whose support holds no interior row gets an empty slice.
+        """
+        return [slice(max(lo, 1), min(hi, self.grid.n1 - 1) + 1) for lo, hi in self.extents]
 
     @cached_property
     def slabs(self) -> list[tuple[slice, GridSpec] | None]:
         """Per strip, the rows its work in a step runs on, and their grid.
 
-        The slab is the strip's interior rows widened by two rows on each
+        The slab is the strip's ``rows`` widened by two rows on each
         side, cut to the grid, so that a stencil or a difference taken on it
         is exact on the slab's inner rows: the interior rows widened by one.
         Its grid has the slab's cells and the full grid's spacings.  A strip
         with no interior row gets None: its work is empty.
         """
         slabs: list[tuple[slice, GridSpec] | None] = []
-        for extent in self.extents:
-            first, last = _interior_rows(self.grid, extent)
-            if last < first:
-                slabs.append(None)
-                continue
-            lo, hi = max(first - 2, 0), min(last + 2, self.grid.n1)
-            slabs.append((slice(lo, hi + 1), replace(self.grid, n1=hi - lo, l1=(hi - lo) * self.grid.h1)))
+        for rows in self.rows:
+            lo, hi = max(rows.start - 2, 0), min(rows.stop + 1, self.grid.n1)
+            slab = replace(self.grid, n1=hi - lo, l1=(hi - lo) * self.grid.h1)
+            slabs.append((slice(lo, hi + 1), slab) if rows.start < rows.stop else None)
         return slabs
 
     @cached_property
     def pressure_factors(self) -> list[StripFactors]:
         """Per-strip factors of the pressure systems -div(eta^2 grad)."""
-        return [pressure_factors(self.grid, eta[:, 0], ext) for eta, ext in zip(self.eta, self.extents)]
+        return [pressure_factors(self.grid, eta[:, 0], rows) for eta, rows in zip(self.eta, self.rows)]
+
+
+def strip_counts(m: int, overlap: int) -> tuple[int, int]:
+    """m and overlap as ints; InvalidPartitionError unless m is a whole number >= 1 and overlap one >= 0."""
+    if not (1 <= m < np.inf and int(m) == m):
+        raise InvalidPartitionError(f"strip count must be a positive integer, got {m}")
+    if not (0 <= overlap < np.inf and int(overlap) == overlap):
+        raise InvalidPartitionError(f"overlap must be a non-negative integer, got {overlap}")
+    return int(m), int(overlap)
 
 
 def build_strips(grid: GridSpec, m: int, overlap: int) -> Partition:
@@ -99,11 +113,7 @@ def build_strips(grid: GridSpec, m: int, overlap: int) -> Partition:
     the squares sum to one.  Requires floor(n1 / m) > overlap so that only
     adjacent strips overlap; raises InvalidPartitionError otherwise.
     """
-    if int(m) != m or m < 1:
-        raise InvalidPartitionError(f"strip count must be a positive integer, got {m}")
-    if int(overlap) != overlap or overlap < 0:
-        raise InvalidPartitionError(f"overlap must be a non-negative integer, got {overlap}")
-    m, overlap = int(m), int(overlap)
+    m, overlap = strip_counts(m, overlap)
     if grid.n1 // m <= overlap:
         raise InvalidPartitionError(
             f"strips of width {grid.n1 // m} cannot carry an overlap of {overlap} nodes"

@@ -40,7 +40,7 @@ from .operators import (
     _viscous_raw,
     spectral_lower_bound,
 )
-from .partition import Partition, build_strips, decompose, recompose, weighted_sum
+from .partition import Partition, build_strips, decompose, recompose, strip_counts, weighted_sum
 from .transforms import (
     _pressure_range,
     cosine_pressure_system,
@@ -99,10 +99,7 @@ class SchemeConfig:
         if not (math.isfinite(self.t_final) and self.t_final > 0):
             raise ValueError(f"final time must be positive, got {self.t_final}")
         self.viscous  # built now, so a viscosity ViscousOperator refuses is refused here
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError(f"strip count must be a positive integer, got {self.m}")
-        if int(self.overlap) != self.overlap or self.overlap < 0:
-            raise ValueError(f"overlap must be a non-negative integer, got {self.overlap}")
+        strip_counts(self.m, self.overlap)  # refused for either scheme, by build_strips' own rule
         self.tau_requested = self.tau
         ratio = self.t_final / self.tau
         n_steps = round(ratio) if math.isfinite(ratio) else ratio

@@ -412,32 +412,23 @@ def _eliminate(b: np.ndarray, off: np.ndarray, inv_pivot: np.ndarray, mult: np.n
         rows[i] -= np.multiply(mult[i], rows[i + 1], out=tmp)
 
 
-def _interior_rows(grid: GridSpec, extent: tuple[int, int]) -> tuple[int, int]:
-    """First and last interior row i1 where a strip's weight is positive.
-
-    A strip whose support holds no interior row gets last < first.
-    """
-    return max(extent[0], 1), min(extent[1], grid.n1 - 1)
-
-
-def sweep_factors(grid: GridSpec, eta: np.ndarray, extent: tuple[int, int], nu: float, tau: float) -> StripFactors:
+def sweep_factors(grid: GridSpec, eta: np.ndarray, rows: slice, nu: float, tau: float) -> StripFactors:
     """Factors of the sweep system x + (tau/2) eta A (eta x) of one strip.
 
-    ``eta`` is the strip weight per i1 row and ``extent`` the rows where it is
-    positive.  After a DST-I along x2, sine mode k is the tridiagonal system
-    on the interior rows of the extent with diagonal
+    ``eta`` is the strip weight per i1 row and ``rows`` the interior rows
+    where it is positive.  After a DST-I along x2, sine mode k is the
+    tridiagonal system on those rows with diagonal
     1 + (tau nu/2) e_i^2 (2/h1^2 + lam2_k) and off-diagonal
     -(tau nu/2) e_i e_{i+1} / h1^2; the factor 2*n2 of two sine sweeps is
     folded in.
     """
-    lo, hi = _interior_rows(grid, extent)
-    e = eta[lo : hi + 1, None]
+    e = eta[rows, None]
     scale = 2.0 * grid.n2
     half = 0.5 * tau * nu
     lam2 = _second_difference(grid.n2, grid.h2)[None, :]
     diag = scale * (1.0 + half * (e * e) * (2.0 / grid.h1**2 + lam2))
     off = (-scale * half / grid.h1**2) * (e[:-1] * e[1:])
-    return _factor(slice(lo, hi + 1), diag, off)
+    return _factor(rows, diag, off)
 
 
 def sweep_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:
@@ -481,11 +472,11 @@ def sweep_solve_rows(x: np.ndarray, f: StripFactors) -> np.ndarray:
     return work
 
 
-def pressure_factors(grid: GridSpec, eta: np.ndarray, extent: tuple[int, int]) -> StripFactors:
+def pressure_factors(grid: GridSpec, eta: np.ndarray, rows: slice) -> StripFactors:
     """Factors of one strip's pressure system -div(eta^2 grad p).
 
-    The system couples the interior rows of the extent plus the row after
-    it, which x1 fluxes join to the last of them: the strip's box.  Every
+    The system couples the strip's interior ``rows`` plus the row after
+    them, which x1 fluxes join to the last of them: the strip's box.  Every
     other node is in the kernel, and a strip with no interior row has the
     zero system.  The box nodes with i2 = n2 are leaves joined only to
     their x2 neighbour, except on the last box row, which has no x2 fluxes
@@ -495,11 +486,10 @@ def pressure_factors(grid: GridSpec, eta: np.ndarray, extent: tuple[int, int]) -
     per cosine mode.  Mode 0 is singular (the constants), so its last row is
     pinned by doubling its diagonal.
     """
-    lo, hi = _interior_rows(grid, extent)
-    if hi < lo:
-        return StripFactors(slice(lo, lo), np.zeros((0, 1)), np.zeros((0, 0)))
-    hi += 1
-    w = eta[lo : hi + 1] * eta[lo : hi + 1]
+    if rows.stop <= rows.start:
+        return StripFactors(rows, np.zeros((0, 1)), np.zeros((0, 0)))
+    box = slice(rows.start, rows.stop + 1)
+    w = eta[box] * eta[box]
     flux = np.zeros(w.size + 1)
     flux[1:-1] = w[:-1] / grid.h1**2
     across = w.copy()
@@ -507,7 +497,7 @@ def pressure_factors(grid: GridSpec, eta: np.ndarray, extent: tuple[int, int]) -
     mu = _second_difference(grid.n2 - 1, grid.h2)[None, : grid.n2 - 1]
     diag = (flux[:-1] + flux[1:])[:, None] + across[:, None] * mu
     diag[-1, 0] += flux[-2]
-    return _factor(slice(lo, hi + 1), diag, -flux[1:-1, None], grid.h2**2 / w[:-1])
+    return _factor(box, diag, -flux[1:-1, None], grid.h2**2 / w[:-1])
 
 
 def pressure_solve(rhs: np.ndarray, f: StripFactors) -> np.ndarray:

@@ -5,10 +5,13 @@
 Each line is ``name exit_code sha256``, or ``name raised ExceptionName``
 when the run raises out of ``cli.main``; the hash covers the run's stdout,
 its manifest.json without ``duration_seconds`` and ``config.out_dir`` (the
-two entries that vary from one run to the next), and the sorted names and
-bytes of the CSV files it wrote.  stderr is not hashed, so the wording of a
-refusal may change.  The stokesdd package is imported from DIR (default:
-the src/ beside this script), so two checkouts compare with
+two entries that vary from one run to the next) and ``numerics``, and the
+sorted names and bytes of the CSV files it wrote.  stderr is not hashed, so
+the wording of a refusal may change.  A header line ``numerics <json>``
+comes first: the host facts the bytes depend on (BLAS, its core, numpy's
+SIMD targets), from the first manifest that records them, or null.  The
+stokesdd package is imported from DIR (default: the src/ beside this
+script), so two checkouts compare with
 
     diff <(python tools/output_digests.py --src A/src) <(python tools/output_digests.py --src B/src)
 """
@@ -55,21 +58,24 @@ RUNS = {
 }
 
 
-def _manifest_bytes(path: pathlib.Path) -> bytes:
-    """manifest.json without the entries that vary between runs, keys sorted; empty if missing."""
+def _manifest(path: pathlib.Path) -> tuple[bytes, dict | None]:
+    """manifest.json without the entries that vary between runs or hosts, keys
+    sorted (empty if missing), and its ``numerics`` (None if it has none)."""
     if not path.exists():
-        return b""
+        return b"", None
     manifest = json.loads(path.read_text())
     del manifest["duration_seconds"], manifest["config"]["out_dir"]
-    return json.dumps(manifest, sort_keys=True).encode()
+    numerics = manifest.pop("numerics", None)
+    return json.dumps(manifest, sort_keys=True).encode(), numerics
 
 
-def main() -> None:
+def main(args: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-    sys.path.insert(0, parser.parse_args().src)
+    sys.path.insert(0, parser.parse_args(args).src)
     from stokesdd import cli
 
+    lines, numerics = [], None
     for name, argv in RUNS.items():
         with tempfile.TemporaryDirectory() as tmp:
             stdout = io.StringIO()
@@ -77,13 +83,17 @@ def main() -> None:
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
                     code = cli.main([*argv, "--out_dir", tmp])
             except Exception as exc:
-                print(name, "raised", type(exc).__name__)
+                lines.append(f"{name} raised {type(exc).__name__}")
                 continue
+            manifest, recorded = _manifest(pathlib.Path(tmp) / "manifest.json")
+            numerics = numerics or recorded
             digest = hashlib.sha256(stdout.getvalue().encode() + b"\0")
-            digest.update(_manifest_bytes(pathlib.Path(tmp) / "manifest.json") + b"\0")
+            digest.update(manifest + b"\0")
             for path in sorted(pathlib.Path(tmp).glob("*.csv")):
                 digest.update(path.name.encode() + b"\0" + path.read_bytes())
-            print(name, code, digest.hexdigest())
+            lines.append(f"{name} {code} {digest.hexdigest()}")
+    print("numerics", json.dumps(numerics, sort_keys=True))
+    print(*lines, sep="\n")
 
 
 if __name__ == "__main__":
