@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import math
 import os
 import platform
 import sys
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_THREAD_VARS
-from .grid import GridSpec, InvalidGridError, PressureField, VelocityField, make_grid
+from .grid import GridSpec, PressureField, VelocityField, make_grid
 from .linsolve import SolveConfig
 from .operators import spectral_lower_bound
 from .schemes import RunResult, SchemeConfig, blend_pressures, run
@@ -167,43 +166,26 @@ def _node_limit(conf: dict) -> tuple[int, str]:
     return MAX_NODES * NODE_BYTES // (base + per_strip * max(conf["m"], 1)), f"decomposed run with m = {conf['m']}"
 
 
-def _check_scales(grid: GridSpec, manufactured: bool) -> None:
-    """The manufactured forcing builds (pi/l)^3 for each side as a python
-    float; side lengths for which one is not a finite float are refused here
-    rather than inside a step.  SchemeConfig refuses the spacings."""
-    try:
-        scales = [(math.pi / grid.l1) ** 3, (math.pi / grid.l2) ** 3] if manufactured else []
-    except OverflowError:
-        scales = [math.inf]
-    if not all(map(math.isfinite, scales)):
-        raise ConfigError(f"side lengths {grid.l1!r}, {grid.l2!r} on {grid.n1}x{grid.n2} cells are out of range with the manufactured forcing")
-
-
 def build_scheme_config(conf: dict) -> SchemeConfig:
-    """The configured run; the settings SchemeConfig refuses with ValueError
-    raise ConfigError before the run starts rather than inside it."""
+    """The configured run.  Every setting that make_grid, ManufacturedCase,
+    forcing_of or SchemeConfig refuses with ValueError raises ConfigError
+    before the run starts.  The node limit, the seed and every refusal but
+    SchemeConfig's come before the initial field is allocated."""
     try:
         grid = make_grid(conf["l1"], conf["l2"], conf["n1"], conf["n2"])
-    except InvalidGridError as exc:
-        raise ConfigError(str(exc)) from exc
-    nodes = (grid.n1 + 1) * (grid.n2 + 1)
-    limit, run_kind = _node_limit(conf)
-    if nodes > limit:
-        raise ConfigError(f"grid has {nodes} nodes, more than the limit {limit} of a {run_kind}")
-    _check_scales(grid, conf["forcing"] == "manufactured")
-    _check_seed(conf)
-    for key in ("amplitude", "decay"):
-        if not math.isfinite(conf[key]):
-            raise ConfigError(f"{key} must be finite, got {conf[key]!r}")
-    case = _case_of(conf)
-    if conf["initial"] == "zero":
-        v = VelocityField.zeros(grid)
-    elif conf["initial"] == "manufactured":
-        v = exact_velocity(case, grid, 0.0)
-    else:
-        v = random_velocity(grid, make_rng(conf["seed"]))
-    forcing = forcing_of(case, grid) if conf["forcing"] == "manufactured" else None
-    try:
+        nodes = (grid.n1 + 1) * (grid.n2 + 1)
+        limit, run_kind = _node_limit(conf)
+        if nodes > limit:
+            raise ConfigError(f"grid has {nodes} nodes, more than the limit {limit} of a {run_kind}")
+        case = _case_of(conf)
+        forcing = forcing_of(case, grid) if conf["forcing"] == "manufactured" else None
+        _check_seed(conf)
+        if conf["initial"] == "zero":
+            v = VelocityField.zeros(grid)
+        elif conf["initial"] == "manufactured":
+            v = exact_velocity(case, grid, 0.0)
+        else:
+            v = random_velocity(grid, make_rng(conf["seed"]))
         return SchemeConfig(
             v=v,
             tau=conf["tau"],
@@ -398,7 +380,6 @@ def cmd_converge(conf: dict, out_dir: Path) -> tuple[bool, dict]:
     """
     taus = _list(conf["taus"], float, "taus")
     grids = _list(conf["grids"], int, "grids")
-    case = _case_of(conf)
     tau_min = min(taus)
 
     def config(scheme: str, tau: float, n1: int, n2: int) -> SchemeConfig:
@@ -409,6 +390,7 @@ def cmd_converge(conf: dict, out_dir: Path) -> tuple[bool, dict]:
     # every configuration is built, and so validated, before the first run
     temporal = {s: [config(s, tau, conf["n1"], conf["n2"]) for tau in taus] for s in ("monolithic", "decomposed")}
     spatial = [config(conf["scheme"], tau_min, n, n) for n in grids]
+    case = _case_of(conf)
     ok = True
 
     def final_velocity(cfg: SchemeConfig) -> VelocityField:

@@ -25,17 +25,31 @@ from .grid import (
     GridSpec,
     PressureField,
     VelocityField,
+    dot_decomposed,
+    dot_pressure,
+    dot_velocity,
+    make_grid,
+    norm_decomposed,
+    norm_pressure,
     norm_velocity,
 )
 from .linsolve import SolveConfig
 from .operators import (
+    ViscousOperator,
+    apply_coupling_lower,
+    apply_coupling_upper,
+    apply_divergence,
+    apply_gradient,
+    apply_viscous,
     assemble_dense,
     decomposed_to_vector,
+    spectral_lower_bound,
     vector_to_decomposed,
     vector_to_velocity,
     velocity_to_vector,
 )
-from .schemes import SchemeConfig, StepReport, energy_estimate, run
+from .partition import build_strips, decompose, recompose
+from .schemes import SchemeConfig, StepReport, energy_estimate, run, step_decomposed, step_monolithic
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -67,11 +81,17 @@ def random_decomposed(grid: GridSpec, m: int, rng: np.random.Generator, scale: f
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Parameters of the exact solution: stream amplitude, decay rate, viscosity."""
+    """Parameters of the exact solution: stream amplitude, decay rate,
+    viscosity.  A non-finite amplitude or decay is refused with ValueError."""
 
     amplitude: float = 1.0
     decay: float = 1.0
     nu: float = 1.0
+
+    def __post_init__(self) -> None:
+        for key, value in (("amplitude", self.amplitude), ("decay", self.decay)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
 
 
 def _trig(case: ManufacturedCase, grid: GridSpec, t: float):
@@ -126,7 +146,16 @@ def manufactured(case: ManufacturedCase, grid: GridSpec, t: float) -> tuple[Velo
 
 
 def forcing_of(case: ManufacturedCase, grid: GridSpec) -> Callable[[float], VelocityField]:
-    """Forcing closure suitable for SchemeConfig.forcing."""
+    """Forcing closure suitable for SchemeConfig.forcing.  exact_forcing
+    builds (pi/l)^3 for each side as a python float; side lengths for which
+    one is not a finite float are refused here with ValueError rather than
+    inside a step."""
+    try:
+        finite = all(math.isfinite((math.pi / side) ** 3) for side in (grid.l1, grid.l2))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"side lengths {grid.l1!r}, {grid.l2!r} on {grid.n1}x{grid.n2} cells are out of range with the manufactured forcing")
     return lambda t: exact_forcing(case, grid, t)
 
 
@@ -235,8 +264,7 @@ def oracle_step(
     part = cfg.partition
     masks = part.masks
     m = part.m
-    a = assemble_dense("viscous", grid, nu=cfg.nu)
-    n = a.shape[0]
+    n = 2 * grid.num_interior
     lower = assemble_dense("coupling_lower", grid, nu=cfg.nu, masks=masks)
     upper = assemble_dense("coupling_upper", grid, nu=cfg.nu, masks=masks)
     xs = [assemble_dense("mask", grid, eta=chi.eta) for chi in masks]
@@ -273,26 +301,6 @@ def _rel(err: float, scale: float) -> float:
 
 def verification_checks(seed: int = 2024) -> list[CheckResult]:
     """Small-grid correctness suite: returns one result per named check."""
-    from .grid import (
-        dot_decomposed,
-        dot_pressure,
-        dot_velocity,
-        make_grid,
-        norm_decomposed,
-        norm_pressure,
-    )
-    from .operators import (
-        ViscousOperator,
-        apply_coupling_lower,
-        apply_coupling_upper,
-        apply_divergence,
-        apply_gradient,
-        apply_viscous,
-        spectral_lower_bound,
-    )
-    from .partition import build_strips, decompose, recompose
-    from .schemes import step_decomposed, step_monolithic
-
     rng = make_rng(seed)
     results: list[CheckResult] = []
 
