@@ -235,7 +235,8 @@ def dot_velocity(a: VelocityField, b: VelocityField) -> float:
 
 def _dot_stacked(grid: GridSpec, x: np.ndarray, y: np.ndarray) -> float:
     """h1*h2 times the sum of x*y over both components of (2, n1+1, n2+1) arrays; inf on overflow."""
-    return grid.cell_area * (float(np.sum(x[0] * y[0])) + float(np.sum(x[1] * y[1])))
+    # np.add.reduce over all axes is the reduction np.sum makes behind its python wrapper: same bits, less cost
+    return grid.cell_area * (float(np.add.reduce(x[0] * y[0], axis=None)) + float(np.add.reduce(x[1] * y[1], axis=None)))
 
 
 def norm_velocity(a: VelocityField) -> float:
@@ -245,7 +246,7 @@ def norm_velocity(a: VelocityField) -> float:
 def dot_pressure(p: PressureField, q: PressureField) -> float:
     """Inner product over the pressure nodes with the same h1*h2 weight; inf on overflow."""
     _require_same_grid(p, q)
-    return p.grid.cell_area * float(np.sum(p.p * q.p))
+    return p.grid.cell_area * float(np.add.reduce(p.p * q.p, axis=None))  # np.sum's bits, as in _dot_stacked
 
 
 def norm_pressure(p: PressureField) -> float:

@@ -32,7 +32,7 @@ from .grid import (
     norm_pressure,
     norm_velocity,
 )
-from .linsolve import NumericalBreakdownError, SolveConfig, SolveReport, _dot, cg_solve
+from .linsolve import NumericalBreakdownError, SolveConfig, _dot, cg_solve
 from .operators import (
     ViscousOperator,
     _divergence_raw,
@@ -68,7 +68,8 @@ class SchemeConfig:
     The step count is round(t_final / tau), at least one step, and tau is
     adjusted so that the steps cover t_final exactly.  The forcing callable
     receives the midpoint time of the step being taken and returns a
-    VelocityField; None means no forcing.
+    VelocityField; None means no forcing.  The viscous operator ``viscous``
+    is built at construction.
 
     Construction refuses, with ValueError, what cannot run: an unknown
     scheme, a spacing h whose 4 / h^2 (the solvers build it) is not a finite
@@ -98,7 +99,7 @@ class SchemeConfig:
             raise ValueError(f"time step must be positive, got {self.tau}")
         if not (math.isfinite(self.t_final) and self.t_final > 0):
             raise ValueError(f"final time must be positive, got {self.t_final}")
-        self.viscous  # built now, so a viscosity ViscousOperator refuses is refused here
+        self.viscous = ViscousOperator(self.grid, self.nu)  # refuses a bad viscosity
         strip_counts(self.m, self.overlap)  # refused for either scheme, by build_strips' own rule
         self.tau_requested = self.tau
         ratio = self.t_final / self.tau
@@ -118,10 +119,6 @@ class SchemeConfig:
     @property
     def grid(self) -> GridSpec:
         return self.v.grid
-
-    @cached_property
-    def viscous(self) -> ViscousOperator:
-        return ViscousOperator(self.grid, self.nu)
 
     @cached_property
     def partition(self) -> Partition:
@@ -199,15 +196,6 @@ def _record(status: dict | None, key: str, div: np.ndarray, grid: GridSpec) -> N
     if status is not None:
         norm = norm_pressure(PressureField.wrap(grid, div))
         status[key] = max(status.get(key, norm), norm)
-
-
-def _tally(status: dict | None, report: SolveReport, what: str) -> None:
-    if status is not None:
-        status["cg_iters"] = status.get("cg_iters", 0) + report.iterations
-    if not report.converged:
-        raise UnconvergedSolveError(
-            f"{what}: {report.iterations} iterations, residual {report.residual:.3e}"
-        )
 
 
 def _direct(status: dict | None, r: np.ndarray, what: str) -> None:
@@ -290,7 +278,10 @@ def pressure_projection(
     # popped into the call, the right-hand side is held by cg_solve alone, which drops it once copied
     coef, rep = cg_solve(apply, rhs.pop(), solver, project=project, precondition=precondition)
     del apply, precondition, project  # the system's buffers go before the transform back
-    _tally(status, rep, "pressure solve")
+    if status is not None:
+        status["cg_iters"] = status.get("cg_iters", 0) + rep.iterations
+    if not rep.converged:
+        raise UnconvergedSolveError(f"pressure solve: {rep.iterations} iterations, residual {rep.residual:.3e}")
     parr = _pressure_range(from_cosine_basis(coef, grid))
     del coef  # released before div u_new is taken
     u_new = VelocityField.wrap(grid, u_star.data - tau * _gradient_raw(parr, grid))
@@ -307,6 +298,18 @@ def _weigh(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.multiply(a, w, out=a)
 
 
+def _start(U: DecomposedVelocity, out: np.ndarray | None, F_half: DecomposedVelocity | None = None, tau: float = 0.0) -> np.ndarray:
+    """``out`` (new when None, else U's, F_half's or a third array) set to U, or to U + tau F_half one strip at a time."""
+    if out is None:
+        out = np.empty_like(U.data)
+    if F_half is not None:
+        for o, u, f in zip(out, U.data, F_half.data):
+            np.add(u, tau * f, out=o)
+    elif out is not U.data:
+        np.copyto(out, U.data)
+    return out
+
+
 def _sweep(
     U: DecomposedVelocity, F_half: DecomposedVelocity | None, tau: float, op: ViscousOperator,
     part: Partition, status: dict | None, order: range, what: str, out: np.ndarray | None,
@@ -316,7 +319,7 @@ def _sweep(
     Ascending order solves (E + tau L) x = U + tau F, descending order
     (E + tau U) x = U, with L and U the triangles of the block operator.
     Each strip system E + (tau/2) eta A eta is solved directly.  Every
-    right-hand side U + tau F is formed in ``out`` first, in one pass; then
+    right-hand side U + tau F is formed in ``out`` first (_start); then
     each strip works on its rows ± 1 (``part.slabs``).  Strip a's one
     stencil apply A(eta_a x_a) gives its residual, row a of the system, and
     the coupling of each later strip b, eta_b A(sum of the solved eta_a
@@ -330,17 +333,7 @@ def _sweep(
     """
     grid = U.grid
     factors = part.sweep_factors(op.nu, tau)
-    if F_half is None:
-        if out is None:
-            out = U.data.copy()
-        elif out is not U.data:
-            np.copyto(out, U.data)
-    elif out is U.data:
-        for o, f in zip(out, F_half.data):
-            o += tau * f
-    else:
-        out = np.multiply(F_half.data, tau, out=out)
-        out += U.data
+    out = _start(U, out, F_half, tau)
     held = None
     for k, a in enumerate(order):
         eta, x, slab = part.eta[a], out[a], part.slabs[a]
@@ -433,7 +426,8 @@ def dd_forward_sweep(
     directly (``solver`` is not used).  Its residual is row a of
     (E + tau L) x - b; its stencil apply also gives the later strips'
     coupling, exact as only neighbouring strips overlap.  The result goes
-    into ``out`` (may be U's or F_half's array), or a new array when None.
+    into ``out`` (_start): a new array when None, else U's, F_half's or a
+    third array.
     """
     return _sweep(U, F_half, tau, op, part, status, range(part.m), "forward sweep", out)
 
@@ -453,7 +447,8 @@ def dd_backward_sweep(
     The strip systems are solved directly (``solver`` is not used).  Strip
     a's residual is row a of (E + tau U) x - b; its stencil apply also gives
     the lower strips' coupling, exact as only neighbouring strips overlap.
-    The result goes into ``out`` (may be U's array), or a new array when None.
+    The result goes into ``out`` (_start): a new array when None, else U's
+    or a third array (F_half's, the fourth case, is the forward sweep's).
     """
     return _sweep(U, None, tau, op, part, status, range(part.m - 1, -1, -1), "backward sweep", out)
 
@@ -481,13 +476,11 @@ def dd_pressure_substeps(
     on its rows ± 1 (``part.slabs``), where they are not zero; the
     divergences go into full-grid arrays, so that their norms sum the same
     entries in the same order as over the whole grid.  The result goes into
-    ``out`` (may be U's array), or a new array when None.
+    ``out`` (_start): a new array when None, else U's or a third array
+    (F_half's, the fourth case, is the forward sweep's).
     """
     grid = U.grid
-    if out is None:
-        out = U.data.copy()
-    elif out is not U.data:
-        np.copyto(out, U.data)
+    out = _start(U, out)
     pressures: list[PressureField] = []
     for a, (eta, x, factors, slab) in enumerate(zip(part.eta, out, part.pressure_factors, part.slabs)):
         div = np.zeros(grid.shape)
@@ -610,13 +603,9 @@ def run(cfg: SchemeConfig) -> RunResult:
         completed, message = False, str(exc)
     if monolithic:
         return RunResult(cfg, reports, state, None, pressure, None, completed, message)
-    if pressure is not None:
-        pressure = [_expand(cfg.grid, box, f.rows) for box, f in zip(pressure, cfg.partition.pressure_factors)]
+    if pressure is not None:  # each full strip pressure: its box rows, +0.0 on every other node
+        full = [np.zeros(cfg.grid.shape) for _ in pressure]
+        for p, box, f in zip(full, pressure, cfg.partition.pressure_factors):
+            p[f.rows] = box
+        pressure = [PressureField.wrap(cfg.grid, p) for p in full]
     return RunResult(cfg, reports, recompose(cfg.partition, state), state, None, pressure, completed, message)
-
-
-def _expand(grid: GridSpec, box: np.ndarray, rows: slice) -> PressureField:
-    """The full strip pressure whose box rows ``rows`` are ``box`` and every other node +0.0."""
-    p = np.zeros(grid.shape)
-    p[rows] = box
-    return PressureField.wrap(grid, p)
